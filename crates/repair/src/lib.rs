@@ -353,6 +353,18 @@ mod tests {
     }
 
     #[test]
+    fn empty_seed_list_never_certifies() {
+        // No seeds means no dynamic or equivalence evidence: the static
+        // verdict still flags the kernel, but no certificate may be
+        // issued on vacuous per-seed claims.
+        let cfg = RepairConfig { seeds: Vec::new(), ..RepairConfig::default() };
+        let r = fix(RACY_SUM, &cfg);
+        assert!(r.verdicts.unwrap().stat);
+        assert_eq!(r.outcome, Outcome::Unfixed);
+        assert_eq!(r.candidates_tried, 0);
+    }
+
+    #[test]
     fn fix_is_deterministic() {
         let cfg = RepairConfig::default();
         assert_eq!(fix(RACY_SUM, &cfg), fix(RACY_SUM, &cfg));
