@@ -140,7 +140,7 @@ fn write_out(dir: &str) {
 ///   to 1 worker (interned traces + epoch cells + short-circuit).
 /// * `epoch_parallel` — the same, fanned over `RACELLM_WORKERS`.
 fn write_bench_json(path: &str) {
-    const SEEDS: [u64; 3] = [1, 7, 23];
+    use racellm::xcheck::DEFAULT_SEEDS as SEEDS;
     let units: Vec<minic::TranslationUnit> = drb_gen::corpus()
         .iter()
         .filter(|k| k.behavior != drb_gen::ToolBehavior::DynUnmodeled)

@@ -6,7 +6,8 @@
 //! must err exactly where the interpreter errs. On top of the raw runs,
 //! the compiled adversarial sweep must merge to the same `DynReport`
 //! (byte-for-byte, including the epoch interpreter and the reference
-//! analyzer) as the interpreter-only sweep.
+//! analyzer) as the interpreter-only sweep, and the observed sweep must
+//! also yield, per seed, the interpreter's output observation.
 
 use drb_gen::corpus;
 use hbsan::{analyze, analyze_reference, Config};
@@ -96,20 +97,49 @@ fn bytecode_matches_interpreter_on_every_corpus_kernel() {
 
 #[test]
 fn compiled_sweep_matches_interpreter_sweep_on_every_corpus_kernel() {
-    let diffs: Vec<String> = par::par_map(corpus(), par::default_workers(), |k| {
-        let unit = minic::parse(&k.trimmed_code).ok()?;
+    let results: Vec<(bool, Vec<String>)> = par::par_map(corpus(), par::default_workers(), |k| {
+        let Ok(unit) = minic::parse(&k.trimmed_code) else {
+            return (false, vec![format!("{}: does not parse", k.name)]);
+        };
         let prog = hbsan::lower(&unit).ok();
         let cfg = Config::default();
         let compiled = hbsan::check_adversarial_compiled(&unit, prog.as_ref(), &cfg, &SEEDS);
+        let observed = hbsan::check_adversarial_observed(&unit, prog.as_ref(), &cfg, &SEEDS);
         let reference = hbsan::check_adversarial(&unit, &cfg, &SEEDS);
-        match (compiled, reference) {
-            (Ok(c), Ok(r)) if c.report == r => None,
-            (Err(ec), Err(er)) if ec == er => None,
-            (c, r) => Some(format!("{}: compiled {c:?} vs interp {r:?}", k.name)),
+        let mut bad = Vec::new();
+        match (&compiled, &reference) {
+            (Ok(c), Ok(r)) if c.report == *r && c.observations.is_empty() => {}
+            (Err(ec), Err(er)) if ec == er => {}
+            (c, r) => bad.push(format!("{}: compiled {c:?} vs interp {r:?}", k.name)),
         }
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+        // The observed sweep: the same report, and each seed's
+        // observation equal to an interpreter-only observation.
+        match (&observed, &reference) {
+            (Ok(o), Ok(r)) => {
+                if o.report != *r {
+                    bad.push(format!("{}: observed report {:?} vs interp {r:?}", k.name, o.report));
+                }
+                if o.observations.len() != SEEDS.len() {
+                    bad.push(format!("{}: {} observations", k.name, o.observations.len()));
+                }
+                for (&seed, got) in SEEDS.iter().zip(&o.observations) {
+                    match hbsan::observe(&unit, &Config { seed, ..cfg.clone() }) {
+                        Ok(want) if want == *got => {}
+                        want => bad.push(format!(
+                            "{} seed {seed}: observed {got:?} vs interp {want:?}",
+                            k.name
+                        )),
+                    }
+                }
+            }
+            (Err(eo), Err(er)) if eo == er => {}
+            (o, r) => bad.push(format!("{}: observed {o:?} vs interp {r:?}", k.name)),
+        }
+        (prog.is_none(), bad)
+    });
+    assert_eq!(results.len(), corpus().len());
+    let rejected = results.iter().filter(|(rejected, _)| *rejected).count();
+    assert!(rejected > 0, "no kernel exercises the interpreter fallback");
+    let diffs: Vec<String> = results.into_iter().flat_map(|(_, bad)| bad).collect();
     assert!(diffs.is_empty(), "compiled sweep diverges:\n{}", diffs.join("\n"));
 }

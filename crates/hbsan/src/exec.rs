@@ -8,8 +8,9 @@
 //! costs replay the interpreter's `spend()` pattern prefix-exactly, so
 //! a batch check `fuel < cost` fails iff one of the mirrored spends
 //! would have). The executor is allowed to *fail* where the interpreter
-//! succeeds — [`run_oracle`] then reruns the interpreter — but never
-//! the other way around.
+//! succeeds — the sweep ([`check_adversarial_compiled`](crate::check_adversarial_compiled))
+//! then reruns the seed on the interpreter — but never the other way
+//! around.
 //!
 //! Heap-address determinism is load-bearing: trace events carry raw
 //! addresses and `Ptr` values print as hex, so every allocation here
@@ -27,7 +28,6 @@ use crate::ir::{
 use crate::sched::Scheduler;
 use crate::trace::{SiteId, SyncKey, Trace};
 use crate::value::Value;
-use minic::ast::TranslationUnit;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -950,23 +950,4 @@ fn exec_program<'p>(prog: &'p Program, cfg: &Config) -> RtResult<(Exec<'p>, Opti
         _ => None,
     };
     Ok((ex, exit))
-}
-
-/// Run one seed through the fast path with interpreter fallback.
-///
-/// With a program, try the bytecode executor first; on *any* executor
-/// error — and whenever no program is available — rerun the AST
-/// interpreter so callers always see the interpreter's verdict and
-/// error text. `fell_back` reports which engine produced the output.
-pub fn run_oracle(
-    unit: &TranslationUnit,
-    prog: Option<&Program>,
-    cfg: &Config,
-) -> crate::ir::OracleRun {
-    if let Some(p) = prog {
-        if let Ok(out) = run_program(p, cfg) {
-            return crate::ir::OracleRun { output: Ok(out), fell_back: false };
-        }
-    }
-    crate::ir::OracleRun { output: crate::interp::run(unit, cfg), fell_back: true }
 }

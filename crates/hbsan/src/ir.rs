@@ -30,7 +30,6 @@
 //! loops) stay as data — [`DirIr`] / [`WsIr`] descriptors interpreted by
 //! Rust handlers that call back into bytecode ranges for the hot parts.
 
-use crate::interp::RunOutput;
 use crate::value::Value;
 use minic::ast::{BaseType, BinOp};
 use minic::pragma::{ReductionOp, ScheduleKind};
@@ -961,15 +960,4 @@ impl std::fmt::Display for Program {
         }
         Ok(())
     }
-}
-
-/// What the compiled path produced for one seed: either a successful
-/// bytecode run, or the interpreter's result after a fallback.
-#[derive(Debug)]
-pub struct OracleRun {
-    /// The run result (from the bytecode executor, or from the
-    /// interpreter when the executor rejected or erred).
-    pub output: Result<RunOutput, crate::RtError>,
-    /// Whether the interpreter had to be used.
-    pub fell_back: bool,
 }

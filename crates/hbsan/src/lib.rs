@@ -13,11 +13,17 @@
 //!
 //! Running multiple seeds (`check_adversarial`) varies worksharing
 //! assignment and single-winner choices like re-running a real binary.
-//! The sweep is parallelized across seeds (`RACELLM_WORKERS` caps the
-//! worker count) and short-circuits when the first run never consulted
-//! the scheduler RNG — static schedules are seed-independent, so one run
-//! already covers every seed. Results are byte-identical to the serial
-//! sweep at any worker count.
+//! Every sweep goes through one seed loop: each seed runs on the
+//! bytecode executor when a lowered [`Program`] is supplied (falling
+//! back to the interpreter otherwise), the seeds after the first run in
+//! parallel (`RACELLM_WORKERS` caps the worker count), and the loop
+//! short-circuits when the first run never consulted the scheduler RNG —
+//! static schedules are seed-independent, so one run already covers
+//! every seed. Results are byte-identical to the serial sweep at any
+//! worker count. The observed sweep ([`check_adversarial_observed`])
+//! also snapshots each run's output ([`obs::Observation`]), so one
+//! execution per seed yields both the trace the race analysis reads and
+//! the observation the repair loop's equivalence check compares.
 //!
 //! ```
 //! let report = hbsan::check_source(r#"
@@ -46,11 +52,11 @@ pub mod value;
 pub mod vc;
 
 pub use analyze::{analyze, analyze_events, analyze_reference, Analyzer, DynRace, DynReport};
-pub use exec::{run_oracle, run_program};
+pub use exec::run_program;
 pub use interp::{run, Config, RtError, RunOutput};
-pub use ir::{OracleRun, Program, FORMAT_VERSION};
+pub use ir::{Program, FORMAT_VERSION};
 pub use lower::{lower, LowerError};
-pub use obs::{observe, observe_oracle, ObservedRun, Observation};
+pub use obs::{observe, Observation};
 pub use trace::{Event, EventKind, Op, Site, SiteId, SyncId, SyncKey, Trace};
 pub use vc::{Epoch, VectorClock};
 
@@ -60,6 +66,7 @@ pub use vc::{clock_counts, reset_clock_counts};
 #[cfg(feature = "count-ir-allocs")]
 pub use exec::alloc_count as ir_alloc_count;
 
+use interp::RtResult;
 use minic::TranslationUnit;
 
 /// Run one schedule and analyze the trace.
@@ -106,32 +113,21 @@ pub fn check_adversarial_with_workers(
     seeds: &[u64],
     workers: usize,
 ) -> Result<DynReport, RtError> {
-    let Some((&first, rest)) = seeds.split_first() else {
-        return Ok(DynReport::default());
-    };
-    let out = run(unit, &Config { seed: first, ..base.clone() })?;
-    let mut merged = analyze(&out.trace);
-    if !out.schedule_sensitive || rest.is_empty() {
-        // Every seed replays this exact trace; merging identical reports
-        // is the identity, so the sweep is already complete.
-        return Ok(merged);
-    }
-    let results = par::par_map(rest, workers, |&seed| {
-        check(unit, &Config { seed, ..base.clone() })
-    });
-    for r in results {
-        merged.merge(r?);
-    }
-    Ok(merged)
+    sweep(unit, None, base, seeds, workers, false).map(|s| s.report)
 }
 
-/// Result of a compiled adversarial sweep: the merged report plus
-/// whether any seed had to fall back to the AST interpreter.
-#[derive(Debug)]
+/// Result of a compiled adversarial sweep: the merged report, the
+/// per-seed observations when the sweep was observed, and whether any
+/// seed had to fall back to the AST interpreter.
+#[derive(Debug, Default)]
 pub struct CompiledSweep {
     /// Merged report across seeds (byte-identical to
     /// [`check_adversarial`]'s).
     pub report: DynReport,
+    /// One observation per seed, in seed order, from
+    /// [`check_adversarial_observed`] (each equal to [`observe`] under
+    /// that seed); empty from the unobserved sweeps.
+    pub observations: Vec<Observation>,
     /// True when at least one seed ran on the interpreter instead of the
     /// bytecode executor (lowering rejected the kernel, no program was
     /// supplied, or the executor erred).
@@ -141,10 +137,10 @@ pub struct CompiledSweep {
 /// [`check_adversarial`] through the bytecode fast path.
 ///
 /// Pass the kernel's cached lowered [`Program`] (or `None` to force the
-/// interpreter). Each seed runs on the bytecode executor and falls back
-/// to the AST interpreter per [`exec::run_oracle`]'s contract, so the
-/// merged report — and any error — is byte-identical to the
-/// interpreter-only sweep.
+/// interpreter). Each seed runs on the bytecode executor; on lowering
+/// rejection or any executor error the seed reruns on the AST
+/// interpreter, so the merged report — and any error — is
+/// byte-identical to the interpreter-only sweep.
 pub fn check_adversarial_compiled(
     unit: &TranslationUnit,
     prog: Option<&Program>,
@@ -162,25 +158,93 @@ pub fn check_adversarial_compiled_with_workers(
     seeds: &[u64],
     workers: usize,
 ) -> Result<CompiledSweep, RtError> {
-    let Some((&first, rest)) = seeds.split_first() else {
-        return Ok(CompiledSweep { report: DynReport::default(), fell_back: false });
-    };
-    let run0 = exec::run_oracle(unit, prog, &Config { seed: first, ..base.clone() });
-    let mut fell_back = run0.fell_back;
-    let out = run0.output?;
-    let mut merged = analyze(&out.trace);
-    if !out.schedule_sensitive || rest.is_empty() {
-        return Ok(CompiledSweep { report: merged, fell_back });
-    }
-    let results = par::par_map(rest, workers, |&seed| {
-        let r = exec::run_oracle(unit, prog, &Config { seed, ..base.clone() });
-        (r.output.map(|o| analyze(&o.trace)), r.fell_back)
+    sweep(unit, prog, base, seeds, workers, false)
+}
+
+/// [`check_adversarial_compiled`] that also observes every seed: the
+/// same execution that yields a seed's trace snapshots its printed
+/// lines, exit value and final globals into
+/// [`CompiledSweep::observations`]. A seed-insensitive kernel runs once
+/// and that run's observation is repeated for every seed.
+pub fn check_adversarial_observed(
+    unit: &TranslationUnit,
+    prog: Option<&Program>,
+    base: &Config,
+    seeds: &[u64],
+) -> Result<CompiledSweep, RtError> {
+    sweep(unit, prog, base, seeds, par::default_workers(), true)
+}
+
+/// One seed's outcome: its race report, its observation when observed,
+/// and whether the scheduler consulted its RNG.
+type SeedResult = (DynReport, Option<Observation>, bool);
+
+/// Run one seed on the bytecode executor when a program is supplied,
+/// rerunning the AST interpreter on any executor error (and whenever no
+/// program is available), so callers always see the interpreter's
+/// verdict and error text. The flag reports whether the interpreter ran.
+fn run_seed(
+    unit: &TranslationUnit,
+    prog: Option<&Program>,
+    cfg: &Config,
+    observe: bool,
+) -> (RtResult<SeedResult>, bool) {
+    let fast = prog.and_then(|p| {
+        if observe {
+            exec::run_program_with_globals(p, cfg).map(|(out, g)| (out, Some(g))).ok()
+        } else {
+            exec::run_program(p, cfg).map(|out| (out, None)).ok()
+        }
     });
-    for (r, fb) in results {
-        fell_back |= fb;
-        merged.merge(r?);
+    let fell_back = fast.is_none();
+    let output = match fast {
+        Some(done) => Ok(done),
+        None if observe => interp::run_with_globals(unit, cfg).map(|(out, g)| (out, Some(g))),
+        None => run(unit, cfg).map(|out| (out, None)),
+    };
+    let result = output.map(|(out, globals)| {
+        let report = analyze(&out.trace);
+        let sensitive = out.schedule_sensitive;
+        (report, globals.map(|g| obs::pack(unit, out, g)), sensitive)
+    });
+    (result, fell_back)
+}
+
+/// The seed loop behind every sweep: run the first seed; if it never
+/// consulted the scheduler RNG, every seed replays it, so stop there;
+/// otherwise run the remaining seeds on `workers` threads. Reports merge
+/// and observations collect in seed order, and the first error (by seed
+/// order) wins, so the result is independent of the worker count.
+fn sweep(
+    unit: &TranslationUnit,
+    prog: Option<&Program>,
+    base: &Config,
+    seeds: &[u64],
+    workers: usize,
+    observe: bool,
+) -> Result<CompiledSweep, RtError> {
+    let Some((&first, rest)) = seeds.split_first() else {
+        return Ok(CompiledSweep::default());
+    };
+    let run_one = |seed: u64| run_seed(unit, prog, &Config { seed, ..base.clone() }, observe);
+    let (head, mut fell_back) = run_one(first);
+    let (mut report, head_obs, sensitive) = head?;
+    let mut observations: Vec<Observation> = head_obs.into_iter().collect();
+    if !sensitive || rest.is_empty() {
+        // Every seed replays this exact run: merging identical reports
+        // is the identity, and every seed observes the same output.
+        if let Some(o) = observations.first().cloned() {
+            observations.resize(seeds.len(), o);
+        }
+        return Ok(CompiledSweep { report, observations, fell_back });
     }
-    Ok(CompiledSweep { report: merged, fell_back })
+    for (r, fb) in par::par_map(rest, workers, |&seed| run_one(seed)) {
+        fell_back |= fb;
+        let (seed_report, seed_obs, _) = r?;
+        report.merge(seed_report);
+        observations.extend(seed_obs);
+    }
+    Ok(CompiledSweep { report, observations, fell_back })
 }
 
 /// [`verdict`] via the bytecode fast path with interpreter fallback.
@@ -397,6 +461,28 @@ int main() {
             reference.merge(check(&unit, &Config { seed, ..cfg.clone() }).unwrap());
         }
         assert_eq!(serial, reference);
+    }
+
+    #[test]
+    fn observed_sweep_is_worker_count_independent() {
+        // A seed-sensitive kernel: every seed runs, and each one's
+        // observation must equal the interpreter's for that seed.
+        let src = "int a[100]; int main() {\n#pragma omp parallel for schedule(dynamic)\nfor (int i=0;i<99;i++) a[i]=a[i+1];\n return 0; }";
+        let unit = minic::parse(src).unwrap();
+        let prog = lower(&unit).unwrap();
+        let cfg = Config::default();
+        let seeds = [1u64, 7, 23, 42, 99];
+        let serial = sweep(&unit, Some(&prog), &cfg, &seeds, 1, true).unwrap();
+        let parallel = sweep(&unit, Some(&prog), &cfg, &seeds, 4, true).unwrap();
+        assert_eq!(serial.report, parallel.report);
+        assert_eq!(serial.observations, parallel.observations);
+        assert_eq!(serial.report, check_adversarial(&unit, &cfg, &seeds).unwrap());
+        assert!(!serial.fell_back);
+        assert_eq!(serial.observations.len(), seeds.len());
+        for (&seed, o) in seeds.iter().zip(&serial.observations) {
+            assert!(o.schedule_sensitive);
+            assert_eq!(&observe(&unit, &Config { seed, ..cfg.clone() }).unwrap(), o);
+        }
     }
 
     #[test]

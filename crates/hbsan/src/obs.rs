@@ -16,10 +16,12 @@
 //!   which is exactly the order [`global_names`] reports, so both
 //!   engines produce identically-keyed observations.
 //!
-//! [`observe_oracle`] mirrors [`run_oracle`](crate::exec::run_oracle):
-//! bytecode first, interpreter fallback on rejection or executor error,
-//! with the engine choice reported out-of-band so equivalence verdicts
-//! never depend on which engine ran.
+//! [`observe`] runs the interpreter alone and is the reference.
+//! [`check_adversarial_observed`](crate::check_adversarial_observed)
+//! observes every seed of a sweep from the same execution that yields
+//! the seed's trace — bytecode first, interpreter fallback on rejection
+//! or executor error, with the engine choice reported out-of-band so
+//! equivalence verdicts never depend on which engine ran.
 //!
 //! Comparison ([`first_difference`]) is byte-identical: floats compare
 //! by bit pattern, not by `==`, so `-0.0` vs `0.0` (and NaN payloads)
@@ -29,9 +31,7 @@
 //! storage, so its final value is excluded from the comparison (and the
 //! certificate records that exclusion).
 
-use crate::exec::run_program_with_globals;
 use crate::interp::{run_with_globals, Config, RtResult};
-use crate::ir::Program;
 use crate::value::Value;
 use minic::ast::{Item, TranslationUnit};
 
@@ -51,17 +51,6 @@ pub struct Observation {
     pub schedule_sensitive: bool,
 }
 
-/// An [`Observation`] plus which engine produced it (the same
-/// side-channel contract as [`OracleRun`](crate::ir::OracleRun):
-/// `fell_back` feeds metrics, never verdicts).
-#[derive(Debug)]
-pub struct ObservedRun {
-    /// The observation, or the runtime error both engines agreed on.
-    pub output: RtResult<Observation>,
-    /// True when the AST interpreter produced the output.
-    pub fell_back: bool,
-}
-
 /// Names of every file-scope variable, in declaration order — the order
 /// the lowerer numbers global slots in.
 pub fn global_names(unit: &TranslationUnit) -> Vec<String> {
@@ -76,7 +65,13 @@ pub fn global_names(unit: &TranslationUnit) -> Vec<String> {
     names
 }
 
-fn pack(unit: &TranslationUnit, out: crate::interp::RunOutput, globals: Vec<Vec<Value>>) -> Observation {
+/// Package a finished run and its globals snapshot (in declaration
+/// order) as an [`Observation`].
+pub(crate) fn pack(
+    unit: &TranslationUnit,
+    out: crate::interp::RunOutput,
+    globals: Vec<Vec<Value>>,
+) -> Observation {
     let names = global_names(unit);
     debug_assert_eq!(names.len(), globals.len(), "one snapshot per file-scope declarator");
     Observation {
@@ -91,19 +86,6 @@ fn pack(unit: &TranslationUnit, out: crate::interp::RunOutput, globals: Vec<Vec<
 pub fn observe(unit: &TranslationUnit, cfg: &Config) -> RtResult<Observation> {
     let (out, globals) = run_with_globals(unit, cfg)?;
     Ok(pack(unit, out, globals))
-}
-
-/// Observe one run through the bytecode fast path with interpreter
-/// fallback: with a program, try the executor first; on any executor
-/// error — and whenever no program is available — rerun the
-/// interpreter, reporting `fell_back`.
-pub fn observe_oracle(unit: &TranslationUnit, prog: Option<&Program>, cfg: &Config) -> ObservedRun {
-    if let Some(p) = prog {
-        if let Ok((out, globals)) = run_program_with_globals(p, cfg) {
-            return ObservedRun { output: Ok(pack(unit, out, globals)), fell_back: false };
-        }
-    }
-    ObservedRun { output: observe(unit, cfg), fell_back: true }
 }
 
 /// Bit-precise value identity (floats by bit pattern, so NaNs and
@@ -186,11 +168,12 @@ mod tests {
     fn interpreter_and_executor_observe_identically() {
         let unit = minic::parse(SUM).unwrap();
         let prog = lower(&unit).unwrap();
-        for seed in [1u64, 7, 23] {
-            let via_interp = observe(&unit, &cfg(seed)).unwrap();
-            let via_exec = observe_oracle(&unit, Some(&prog), &cfg(seed));
-            assert!(!via_exec.fell_back);
-            assert_eq!(via_interp, via_exec.output.unwrap());
+        let seeds = [1u64, 7, 23];
+        let swept = crate::check_adversarial_observed(&unit, Some(&prog), &cfg(0), &seeds).unwrap();
+        assert!(!swept.fell_back);
+        assert_eq!(swept.observations.len(), seeds.len());
+        for (&seed, via_exec) in seeds.iter().zip(&swept.observations) {
+            assert_eq!(&observe(&unit, &cfg(seed)).unwrap(), via_exec);
         }
     }
 
@@ -211,9 +194,9 @@ mod tests {
     #[test]
     fn oracle_falls_back_without_a_program() {
         let unit = minic::parse(SUM).unwrap();
-        let run = observe_oracle(&unit, None, &cfg(1));
-        assert!(run.fell_back);
-        assert_eq!(run.output.unwrap(), observe(&unit, &cfg(1)).unwrap());
+        let swept = crate::check_adversarial_observed(&unit, None, &cfg(0), &[1]).unwrap();
+        assert!(swept.fell_back);
+        assert_eq!(swept.observations, [observe(&unit, &cfg(1)).unwrap()]);
     }
 
     #[test]

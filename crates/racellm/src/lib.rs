@@ -111,7 +111,7 @@ impl Pipeline {
             ast,
             artifact.oracle_program(),
             &hbsan::Config::default(),
-            &[1, 7, 23],
+            &xcheck::DEFAULT_SEEDS,
         )
         .map(|s| s.report)
         .unwrap_or_default();

@@ -8,67 +8,21 @@
 //!    byte-identical to the original's under each seed — modulo the
 //!    globals the patch itself privatizes.
 //!
-//! The original's per-seed output is computed once per repair run
-//! ([`baseline`]) and shared by every candidate; both sides exploit the
-//! scheduler's seed-sensitivity short-circuit (a schedule that never
-//! consults its RNG produces the same run under every seed, so one
-//! observation serves all of them — the same optimization the sweep
-//! APIs use).
+//! Gates 2 and 3 share one observed sweep
+//! ([`hbsan::check_adversarial_observed`]): one execution per seed
+//! yields both the trace the race analysis reads and the observation
+//! the equivalence check compares. The original's per-seed observations
+//! come from the same kind of sweep in the repair run's detect step and
+//! are shared by every candidate; both sides exploit the scheduler's
+//! seed-sensitivity short-circuit (a schedule that never consults its
+//! RNG produces the same run under every seed).
 
 use crate::{Certificate, RepairConfig};
 use hbsan::obs::{self, Observation};
-use hbsan::{Config, Program};
+use hbsan::Config;
 use minic::printer::print_unit;
 use minic::TranslationUnit;
 use xcheck::{apply_repair, RepairEdit};
-
-/// Per-seed observations of the original kernel.
-pub(crate) struct Baseline {
-    /// One observation per certification seed, in seed order.
-    obs: Vec<Observation>,
-}
-
-fn seed_cfg(seed: u64) -> Config {
-    Config { seed, ..Config::default() }
-}
-
-/// Observe a kernel under every seed, with the seed-insensitivity
-/// short-circuit. `None` when any run fails — no output baseline means
-/// no equivalence evidence.
-fn observe_all(
-    unit: &TranslationUnit,
-    prog: Option<&Program>,
-    seeds: &[u64],
-    fell_back: &mut bool,
-) -> Option<Vec<Observation>> {
-    let (&first, rest) = seeds.split_first()?;
-    let run = obs::observe_oracle(unit, prog, &seed_cfg(first));
-    *fell_back |= run.fell_back;
-    let head = run.output.ok()?;
-    let mut out = Vec::with_capacity(seeds.len());
-    let replicate = !head.schedule_sensitive;
-    out.push(head);
-    for &seed in rest {
-        if replicate {
-            out.push(out[0].clone());
-        } else {
-            let run = obs::observe_oracle(unit, prog, &seed_cfg(seed));
-            *fell_back |= run.fell_back;
-            out.push(run.output.ok()?);
-        }
-    }
-    Some(out)
-}
-
-/// Build the original kernel's output baseline.
-pub(crate) fn baseline(
-    unit: &TranslationUnit,
-    prog: Option<&Program>,
-    cfg: &RepairConfig,
-    fell_back: &mut bool,
-) -> Option<Baseline> {
-    Some(Baseline { obs: observe_all(unit, prog, &cfg.seeds, fell_back)? })
-}
 
 /// Apply an edit list in order; `None` when any edit does not apply
 /// (e.g. an earlier edit removed its target).
@@ -88,10 +42,11 @@ pub(crate) struct Certified {
     pub certificate: Certificate,
 }
 
-/// Run the full certification on one applied candidate. `None` when
-/// any gate fails.
+/// Run the full certification on one applied candidate against the
+/// original's per-seed observations (`base`, in seed order). `None`
+/// when any gate fails.
 pub(crate) fn certify(
-    base: &Baseline,
+    base: &[Observation],
     edits: &[RepairEdit],
     patched: TranslationUnit,
     cfg: &RepairConfig,
@@ -102,27 +57,24 @@ pub(crate) fn certify(
         return None;
     }
 
-    // Gate 2 — dynamic: adversarial sweep over every seed, through the
+    // Gates 2 and 3 — one observed sweep over every seed, through the
     // bytecode fast path (candidates are lowered fresh; they are new
     // programs, not the cached original).
     let prog = hbsan::lower(&patched).ok();
     let sweep =
-        hbsan::check_adversarial_compiled(&patched, prog.as_ref(), &Config::default(), &cfg.seeds)
+        hbsan::check_adversarial_observed(&patched, prog.as_ref(), &Config::default(), &cfg.seeds)
             .ok()?;
     *fell_back |= sweep.fell_back;
+    // Gate 2 — dynamic: no race under any seed.
     if sweep.report.has_race() {
         return None;
     }
-
     // Gate 3 — output equivalence under every seed, excluding globals
     // the patch declares scratch.
     let scratch: Vec<String> =
         edits.iter().filter_map(|e| e.scratch_var().map(str::to_string)).collect();
-    let patched_obs = observe_all(&patched, prog.as_ref(), &cfg.seeds, fell_back)?;
-    for (a, b) in base.obs.iter().zip(&patched_obs) {
-        if !obs::equivalent(a, b, &scratch) {
-            return None;
-        }
+    if !base.iter().zip(&sweep.observations).all(|(a, b)| obs::equivalent(a, b, &scratch)) {
+        return None;
     }
 
     // Recorded evidence (not a gate): the surrogate's verdict on the
@@ -151,11 +103,12 @@ mod tests {
     // privatization zeroing it) cannot sneak past the equivalence gate.
     const RACY_SUM: &str = "int sum;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) sum += i;\n  return sum;\n}\n";
 
-    fn setup(code: &str) -> (TranslationUnit, Baseline, RepairConfig) {
+    fn setup(code: &str) -> (TranslationUnit, Vec<Observation>, RepairConfig) {
         let unit = minic::parse(code).unwrap();
         let cfg = RepairConfig::default();
-        let mut fb = false;
-        let base = baseline(&unit, None, &cfg, &mut fb).unwrap();
+        let base = hbsan::check_adversarial_observed(&unit, None, &Config::default(), &cfg.seeds)
+            .unwrap()
+            .observations;
         (unit, base, cfg)
     }
 

@@ -17,9 +17,13 @@
 //!    executor with interpreter fallback, like every other sweep in the
 //!    workspace), *and* byte-identical observable output
 //!    ([`hbsan::obs`]) versus the original under each seed's race-free
-//!    schedule. The surrogate-LLM verdict is recorded in the
-//!    certificate but does not gate it — the certificate's claims are
-//!    exactly the machine-checkable ones.
+//!    schedule. One execution per seed yields both the trace and the
+//!    observation ([`hbsan::check_adversarial_observed`]): the detect
+//!    step's sweep of the original doubles as the output baseline every
+//!    candidate is compared with, and each candidate's sweep gives its
+//!    race verdict and its output at once. The surrogate-LLM verdict is
+//!    recorded in the certificate but does not gate it — the
+//!    certificate's claims are exactly the machine-checkable ones.
 //! 3. **Minimization** ([`minimize`]) — the winning edit list is
 //!    delta-debugged: drop any edit whose removal still certifies.
 //!
@@ -115,8 +119,9 @@ pub enum Outcome {
     /// A certified patch was found (and minimized).
     Fixed(Fix),
     /// Every applicable candidate failed certification — or the
-    /// original kernel cannot be executed for an output baseline, so no
-    /// equivalence evidence is obtainable.
+    /// original kernel cannot be executed for an output baseline (or
+    /// there are no seeds to execute it under), so no equivalence
+    /// evidence is obtainable.
     Unfixed,
 }
 
@@ -198,18 +203,23 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
     let mut fell_back = false;
 
     // Detect: the same three verdicts the xcheck harness computes,
-    // through the artifact's cached bytecode program.
+    // through the artifact's cached bytecode program. The sweep is
+    // observed, so the same runs also give the original's per-seed
+    // output — the baseline every candidate is checked against.
     let st = racecheck::check(unit);
-    let prog = artifact.oracle_program();
-    let dy = match hbsan::check_adversarial_compiled(unit, prog, &hbsan::Config::default(), &cfg.seeds)
-    {
+    let (dy, base) = match hbsan::check_adversarial_observed(
+        unit,
+        artifact.oracle_program(),
+        &hbsan::Config::default(),
+        &cfg.seeds,
+    ) {
         Ok(s) => {
             fell_back |= s.fell_back;
-            Some(s.report)
+            (Some(s.report), s.observations)
         }
         Err(_) => {
             fell_back = true;
-            None
+            (None, Vec::new())
         }
     };
     let verdicts = Verdicts {
@@ -227,16 +237,17 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
         };
     }
 
-    // Baseline: the original's observable output per seed. Without it
-    // there is no equivalence evidence, hence no certificate.
-    let Some(base) = certify::baseline(unit, prog, cfg, &mut fell_back) else {
+    // Without a baseline observation — the original cannot run, or
+    // there are no seeds — there is no equivalence evidence, hence no
+    // certificate (per-seed checks over zero seeds would pass vacuously).
+    if base.is_empty() {
         return FixReport {
             verdicts: Some(verdicts),
             outcome: Outcome::Unfixed,
             candidates_tried: 0,
             fell_back,
         };
-    };
+    }
 
     let canon = print_unit(unit);
     let mut tried = 0usize;

@@ -7,8 +7,9 @@
 //! result is 1-minimal — no single edit can be removed without losing
 //! the certificate.
 
-use crate::certify::{apply_edits, certify, Baseline, Certified};
+use crate::certify::{apply_edits, certify, Certified};
 use crate::RepairConfig;
+use hbsan::Observation;
 use minic::TranslationUnit;
 use xcheck::RepairEdit;
 
@@ -16,7 +17,7 @@ pub(crate) fn minimize(
     original: &TranslationUnit,
     mut edits: Vec<RepairEdit>,
     mut cert: Certified,
-    base: &Baseline,
+    base: &[Observation],
     cfg: &RepairConfig,
     fell_back: &mut bool,
     tried: &mut usize,
@@ -42,7 +43,12 @@ pub(crate) fn minimize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certify::baseline;
+
+    fn baseline(unit: &TranslationUnit, cfg: &RepairConfig) -> Vec<Observation> {
+        hbsan::check_adversarial_observed(unit, None, &hbsan::Config::default(), &cfg.seeds)
+            .unwrap()
+            .observations
+    }
 
     #[test]
     fn redundant_combo_edit_is_dropped() {
@@ -52,7 +58,7 @@ mod tests {
         let unit = minic::parse(code).unwrap();
         let cfg = RepairConfig::default();
         let mut fb = false;
-        let base = baseline(&unit, None, &cfg, &mut fb).unwrap();
+        let base = baseline(&unit, &cfg);
         let edits = vec![
             RepairEdit::AddReduction { var: "sum".into() },
             RepairEdit::WrapCritical { var: "a".into() },
@@ -73,7 +79,7 @@ mod tests {
         let unit = minic::parse(code).unwrap();
         let cfg = RepairConfig::default();
         let mut fb = false;
-        let base = baseline(&unit, None, &cfg, &mut fb).unwrap();
+        let base = baseline(&unit, &cfg);
         let edits = vec![RepairEdit::AddReduction { var: "sum".into() }];
         let patched = apply_edits(&unit, &edits).unwrap();
         let cert = certify(&base, &edits, patched, &cfg, &mut fb).unwrap();
