@@ -12,39 +12,10 @@
 
 use racellm::repair;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
-fn golden_path(file: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(file)
-}
-
-/// Compare against the snapshot `file`, or rewrite it when
-/// `RACELLM_BLESS=1`.
-fn check(file: &str, rendered: &str) {
-    let path = golden_path(file);
-    if std::env::var_os("RACELLM_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&path, rendered).unwrap();
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e});\nrun `RACELLM_BLESS=1 cargo test -p racellm --test it_repair` to create it",
-            path.display()
-        )
-    });
-    if golden != rendered {
-        let mut diff = String::new();
-        for (i, (g, c)) in golden.lines().zip(rendered.lines()).enumerate() {
-            if g != c {
-                diff.push_str(&format!("  line {:3}: -{g}\n  line {:3}: +{c}\n", i + 1, i + 1));
-            }
-        }
-        panic!(
-            "{file} drifted from its golden snapshot:\n{diff}\nIf the change is intentional, re-bless with RACELLM_BLESS=1."
-        );
-    }
-}
+#[path = "common/golden.rs"]
+mod golden;
+use golden::check;
 
 /// One row per kernel, tab-separated: id, name, outcome, edits,
 /// patch_lines, candidates_tried.
