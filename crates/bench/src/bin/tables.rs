@@ -351,7 +351,7 @@ fn write_bench_repair_json(path: &str) {
         "fixed_racy": rows_serial.fixed_racy(),
         "repair_rate_percent": rows_serial.repair_rate(),
         "mean_patch_lines": mean_patch_lines,
-        "certification_seeds": cfg.seeds.clone(),
+        "certification_seeds": racellm::xcheck::DEFAULT_SEEDS.to_vec(),
         "workers": workers,
         "seconds": serde_json::json!({
             "serial": serial,

@@ -20,10 +20,10 @@
 //! short-circuits when the first run never consulted the scheduler RNG —
 //! static schedules are seed-independent, so one run already covers
 //! every seed. Results are byte-identical to the serial sweep at any
-//! worker count. The observed sweep ([`check_adversarial_observed`])
-//! also snapshots each run's output ([`obs::Observation`]), so one
-//! execution per seed yields both the trace the race analysis reads and
-//! the observation the repair loop's equivalence check compares.
+//! worker count. Every sweep observes: each run also snapshots its
+//! output ([`obs::Observation`]), so one execution per seed yields both
+//! the trace the race analysis reads and the observation the repair
+//! loop's equivalence check compares ([`CompiledSweep::observations`]).
 //!
 //! ```
 //! let report = hbsan::check_source(r#"
@@ -81,14 +81,6 @@ pub fn check_source(src: &str, cfg: &Config) -> Result<DynReport, Box<dyn std::e
     Ok(check(&unit, cfg)?)
 }
 
-/// Uniform yes/no verdict adapter over the adversarial schedule sweep
-/// (the shape the `xcheck` differential harness compares across
-/// detectors). `Err` means the program could not be executed (out of
-/// fuel, bad address, …), not "no race".
-pub fn verdict(unit: &TranslationUnit, base: &Config, seeds: &[u64]) -> Result<bool, RtError> {
-    check_adversarial(unit, base, seeds).map(|r| r.has_race())
-}
-
 /// Union reports across several seeds (adversarial schedule exploration).
 ///
 /// Equivalent to running [`check`] per seed and merging in seed order,
@@ -113,20 +105,20 @@ pub fn check_adversarial_with_workers(
     seeds: &[u64],
     workers: usize,
 ) -> Result<DynReport, RtError> {
-    sweep(unit, None, base, seeds, workers, false).map(|s| s.report)
+    sweep(unit, None, base, seeds, workers).map(|s| s.report)
 }
 
 /// Result of a compiled adversarial sweep: the merged report, the
-/// per-seed observations when the sweep was observed, and whether any
-/// seed had to fall back to the AST interpreter.
+/// per-seed observations, and whether any seed had to fall back to the
+/// AST interpreter.
 #[derive(Debug, Default)]
 pub struct CompiledSweep {
     /// Merged report across seeds (byte-identical to
     /// [`check_adversarial`]'s).
     pub report: DynReport,
-    /// One observation per seed, in seed order, from
-    /// [`check_adversarial_observed`] (each equal to [`observe`] under
-    /// that seed); empty from the unobserved sweeps.
+    /// One observation per seed, in seed order, each equal to
+    /// [`observe`] under that seed. A seed-insensitive kernel runs once
+    /// and that run's observation is repeated for every seed.
     pub observations: Vec<Observation>,
     /// True when at least one seed ran on the interpreter instead of the
     /// bytecode executor (lowering rejected the kernel, no program was
@@ -140,7 +132,9 @@ pub struct CompiledSweep {
 /// interpreter). Each seed runs on the bytecode executor; on lowering
 /// rejection or any executor error the seed reruns on the AST
 /// interpreter, so the merged report — and any error — is
-/// byte-identical to the interpreter-only sweep.
+/// byte-identical to the interpreter-only sweep. The same execution
+/// that yields a seed's trace snapshots its printed lines, exit value
+/// and final globals into [`CompiledSweep::observations`].
 pub fn check_adversarial_compiled(
     unit: &TranslationUnit,
     prog: Option<&Program>,
@@ -158,54 +152,33 @@ pub fn check_adversarial_compiled_with_workers(
     seeds: &[u64],
     workers: usize,
 ) -> Result<CompiledSweep, RtError> {
-    sweep(unit, prog, base, seeds, workers, false)
+    sweep(unit, prog, base, seeds, workers)
 }
 
-/// [`check_adversarial_compiled`] that also observes every seed: the
-/// same execution that yields a seed's trace snapshots its printed
-/// lines, exit value and final globals into
-/// [`CompiledSweep::observations`]. A seed-insensitive kernel runs once
-/// and that run's observation is repeated for every seed.
-pub fn check_adversarial_observed(
-    unit: &TranslationUnit,
-    prog: Option<&Program>,
-    base: &Config,
-    seeds: &[u64],
-) -> Result<CompiledSweep, RtError> {
-    sweep(unit, prog, base, seeds, par::default_workers(), true)
-}
-
-/// One seed's outcome: its race report, its observation when observed,
-/// and whether the scheduler consulted its RNG.
-type SeedResult = (DynReport, Option<Observation>, bool);
+/// One seed's outcome: its race report, its observation, and whether
+/// the scheduler consulted its RNG.
+type SeedResult = (DynReport, Observation, bool);
 
 /// Run one seed on the bytecode executor when a program is supplied,
 /// rerunning the AST interpreter on any executor error (and whenever no
 /// program is available), so callers always see the interpreter's
-/// verdict and error text. The flag reports whether the interpreter ran.
+/// verdict, output and error text. The flag reports whether the
+/// interpreter ran.
 fn run_seed(
     unit: &TranslationUnit,
     prog: Option<&Program>,
     cfg: &Config,
-    observe: bool,
 ) -> (RtResult<SeedResult>, bool) {
-    let fast = prog.and_then(|p| {
-        if observe {
-            exec::run_program_with_globals(p, cfg).map(|(out, g)| (out, Some(g))).ok()
-        } else {
-            exec::run_program(p, cfg).map(|out| (out, None)).ok()
-        }
-    });
+    let fast = prog.and_then(|p| exec::run_program_with_globals(p, cfg).ok());
     let fell_back = fast.is_none();
     let output = match fast {
         Some(done) => Ok(done),
-        None if observe => interp::run_with_globals(unit, cfg).map(|(out, g)| (out, Some(g))),
-        None => run(unit, cfg).map(|out| (out, None)),
+        None => interp::run_with_globals(unit, cfg),
     };
     let result = output.map(|(out, globals)| {
         let report = analyze(&out.trace);
         let sensitive = out.schedule_sensitive;
-        (report, globals.map(|g| obs::pack(unit, out, g)), sensitive)
+        (report, obs::pack(unit, out, globals), sensitive)
     });
     (result, fell_back)
 }
@@ -221,40 +194,27 @@ fn sweep(
     base: &Config,
     seeds: &[u64],
     workers: usize,
-    observe: bool,
 ) -> Result<CompiledSweep, RtError> {
     let Some((&first, rest)) = seeds.split_first() else {
         return Ok(CompiledSweep::default());
     };
-    let run_one = |seed: u64| run_seed(unit, prog, &Config { seed, ..base.clone() }, observe);
+    let run_one = |seed: u64| run_seed(unit, prog, &Config { seed, ..base.clone() });
     let (head, mut fell_back) = run_one(first);
     let (mut report, head_obs, sensitive) = head?;
-    let mut observations: Vec<Observation> = head_obs.into_iter().collect();
     if !sensitive || rest.is_empty() {
         // Every seed replays this exact run: merging identical reports
         // is the identity, and every seed observes the same output.
-        if let Some(o) = observations.first().cloned() {
-            observations.resize(seeds.len(), o);
-        }
+        let observations = vec![head_obs; seeds.len()];
         return Ok(CompiledSweep { report, observations, fell_back });
     }
+    let mut observations = vec![head_obs];
     for (r, fb) in par::par_map(rest, workers, |&seed| run_one(seed)) {
         fell_back |= fb;
         let (seed_report, seed_obs, _) = r?;
         report.merge(seed_report);
-        observations.extend(seed_obs);
+        observations.push(seed_obs);
     }
     Ok(CompiledSweep { report, observations, fell_back })
-}
-
-/// [`verdict`] via the bytecode fast path with interpreter fallback.
-pub fn verdict_compiled(
-    unit: &TranslationUnit,
-    prog: Option<&Program>,
-    base: &Config,
-    seeds: &[u64],
-) -> Result<bool, RtError> {
-    check_adversarial_compiled(unit, prog, base, seeds).map(|s| s.report.has_race())
 }
 
 #[cfg(test)]
@@ -472,8 +432,8 @@ int main() {
         let prog = lower(&unit).unwrap();
         let cfg = Config::default();
         let seeds = [1u64, 7, 23, 42, 99];
-        let serial = sweep(&unit, Some(&prog), &cfg, &seeds, 1, true).unwrap();
-        let parallel = sweep(&unit, Some(&prog), &cfg, &seeds, 4, true).unwrap();
+        let serial = sweep(&unit, Some(&prog), &cfg, &seeds, 1).unwrap();
+        let parallel = sweep(&unit, Some(&prog), &cfg, &seeds, 4).unwrap();
         assert_eq!(serial.report, parallel.report);
         assert_eq!(serial.observations, parallel.observations);
         assert_eq!(serial.report, check_adversarial(&unit, &cfg, &seeds).unwrap());

@@ -16,11 +16,12 @@
 //!   which is exactly the order [`global_names`] reports, so both
 //!   engines produce identically-keyed observations.
 //!
-//! [`observe`] runs the interpreter alone and is the reference.
-//! [`check_adversarial_observed`](crate::check_adversarial_observed)
-//! observes every seed of a sweep from the same execution that yields
-//! the seed's trace — bytecode first, interpreter fallback on rejection
-//! or executor error, with the engine choice reported out-of-band so
+//! [`observe`] runs the interpreter alone and is the reference. Every
+//! adversarial sweep
+//! ([`check_adversarial_compiled`](crate::check_adversarial_compiled))
+//! observes each seed from the same execution that yields the seed's
+//! trace — bytecode first, interpreter fallback on rejection or
+//! executor error, with the engine choice reported out-of-band so
 //! equivalence verdicts never depend on which engine ran.
 //!
 //! Comparison ([`first_difference`]) is byte-identical: floats compare
@@ -169,7 +170,7 @@ mod tests {
         let unit = minic::parse(SUM).unwrap();
         let prog = lower(&unit).unwrap();
         let seeds = [1u64, 7, 23];
-        let swept = crate::check_adversarial_observed(&unit, Some(&prog), &cfg(0), &seeds).unwrap();
+        let swept = crate::check_adversarial_compiled(&unit, Some(&prog), &cfg(0), &seeds).unwrap();
         assert!(!swept.fell_back);
         assert_eq!(swept.observations.len(), seeds.len());
         for (&seed, via_exec) in seeds.iter().zip(&swept.observations) {
@@ -194,7 +195,7 @@ mod tests {
     #[test]
     fn oracle_falls_back_without_a_program() {
         let unit = minic::parse(SUM).unwrap();
-        let swept = crate::check_adversarial_observed(&unit, None, &cfg(0), &[1]).unwrap();
+        let swept = crate::check_adversarial_compiled(&unit, None, &cfg(0), &[1]).unwrap();
         assert!(swept.fell_back);
         assert_eq!(swept.observations, [observe(&unit, &cfg(1)).unwrap()]);
     }

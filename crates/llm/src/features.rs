@@ -16,9 +16,10 @@ use serde::{Deserialize, Serialize};
 /// Uncalibrated yes/no verdict for code outside the calibrated corpus:
 /// the feature-based suspicion score at the model's analysis depth,
 /// thresholded at 0.5. This is exactly what the decision layer degrades
-/// to without a calibration entry; the umbrella `Pipeline` and the
-/// `xcheck` differential harness both use it as the uniform LLM verdict
-/// adapter for generated (non-corpus) kernels.
+/// to without a calibration entry; the detector stack
+/// (`xcheck::detect`, behind analyze, repair and the differential
+/// harness) uses it as the LLM verdict for arbitrary (non-corpus)
+/// kernels.
 pub fn feature_verdict(features: &CodeFeatures, kind: ModelKind) -> bool {
     features.race_suspicion(ModelProfile::of(kind).depth) > 0.5
 }

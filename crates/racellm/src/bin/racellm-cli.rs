@@ -14,7 +14,7 @@
 //! racellm-cli loadgen [opts]              closed-loop load generator → BENCH_serve.json
 //! ```
 
-use racellm::{drb_gen, drb_ml, llm, repair, serve, xcheck, Pipeline};
+use racellm::{drb_gen, drb_ml, llm, repair, serve, xcheck};
 
 fn usage() -> ! {
     eprintln!(
@@ -228,6 +228,16 @@ fn cmd_loadgen(args: &[String]) -> ! {
     }
 }
 
+/// A tri-state verdict for display: a detector that could not run
+/// (the kernel ran out of fuel, …) is `unknown`, never `false`.
+fn verdict_word(v: Option<bool>) -> &'static str {
+    match v {
+        Some(true) => "true",
+        Some(false) => "false",
+        None => "unknown",
+    }
+}
+
 /// Accept decimal or `0x…` hex seeds.
 fn parse_seed(s: &str) -> u64 {
     let parsed = match s.strip_prefix("0x") {
@@ -249,34 +259,33 @@ fn main() {
                 eprintln!("cannot read {path}: {e}");
                 std::process::exit(1);
             });
-            let pipeline = Pipeline::new();
-            let trimmed = racellm::minic::trim_comments(&src);
-            match pipeline.analyze(&src) {
-                Ok(r) => {
-                    println!("tokens: {}", r.tokens);
-                    // Compiler-style static diagnostics against the
-                    // trimmed code (what the line numbers refer to).
-                    if let Ok(report) = racellm::racecheck::check_source(&trimmed.code) {
-                        println!("{}", report.render(&trimmed.code));
-                    }
-                    println!("static  : race = {}", r.static_verdict);
-                    for race in &r.static_races {
-                        println!("  {race}");
-                    }
-                    println!("dynamic : race = {}", r.dynamic_verdict);
-                    for race in r.dynamic_races.iter().take(5) {
-                        println!("  {race}");
-                    }
-                    for (m, text, _) in &r.llm_answers {
-                        println!("{m:4}: {text}");
-                    }
-                    std::process::exit(i32::from(r.static_verdict || r.dynamic_verdict));
-                }
-                Err(e) => {
-                    eprintln!("parse error: {e}");
-                    std::process::exit(1);
-                }
+            let r = serve::analyze::analyze_code(&src);
+            if let Some(e) = &r.parse_error {
+                eprintln!("parse error: {e}");
+                std::process::exit(1);
             }
+            println!("tokens: {}", r.tokens);
+            // Compiler-style static diagnostics against the trimmed code
+            // (what the line numbers refer to).
+            let trimmed = racellm::minic::trim_comments(&src);
+            if let Ok(report) = racellm::racecheck::check_source(&trimmed.code) {
+                println!("{}", report.render(&trimmed.code));
+            }
+            let v = &r.verdicts;
+            println!("static  : race = {}", verdict_word(v.static_verdict));
+            for race in &r.static_races {
+                println!("  {race}");
+            }
+            println!("dynamic : race = {}", verdict_word(v.dynamic));
+            for race in &r.dynamic_races {
+                println!("  {race}");
+            }
+            for m in &r.models {
+                println!("{:4}: race = {}", m.model, m.verdict);
+            }
+            std::process::exit(i32::from(
+                v.static_verdict == Some(true) || v.dynamic == Some(true),
+            ));
         }
         Some("modality") => {
             let path = args.get(1).unwrap_or_else(|| usage());

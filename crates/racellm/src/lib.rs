@@ -5,11 +5,13 @@
 //! high-level [`Pipeline`] that mirrors the paper's Figure 1: DRB-ML
 //! dataset construction → prompt engineering → (surrogate) LLM
 //! inference → output parsing → metrics, alongside the traditional
-//! static and dynamic detectors used as the comparison baseline.
+//! static-tool baseline. Analyzing one arbitrary kernel with every
+//! detector is [`serve::analyze::analyze_code`] — the engine behind
+//! `racellm-cli analyze` and `POST /v1/analyze`, built on the one
+//! detector stack [`xcheck::detect`].
 //!
 //! ```
-//! let pipeline = racellm::Pipeline::new();
-//! let report = pipeline.analyze(r#"
+//! let report = racellm::serve::analyze::analyze_code(r#"
 //! int a[100];
 //! int main(void) {
 //!   int i;
@@ -18,9 +20,9 @@
 //!     a[i] = a[i + 1];
 //!   return 0;
 //! }
-//! "#).unwrap();
-//! assert!(report.static_verdict);
-//! assert!(report.dynamic_verdict);
+//! "#);
+//! assert_eq!(report.verdicts.static_verdict, Some(true));
+//! assert_eq!(report.verdicts.dynamic, Some(true));
 //! ```
 
 #![warn(missing_docs)]
@@ -39,24 +41,6 @@ pub use serve;
 pub use xcheck;
 
 use llm::{KernelView, ModelKind, PromptStrategy, Surrogate};
-use serde::{Deserialize, Serialize};
-
-/// Combined verdicts for one analyzed source snippet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AnalysisReport {
-    /// Static detector verdict (racecheck).
-    pub static_verdict: bool,
-    /// Static race descriptions (`var@line:col:OP vs. …`).
-    pub static_races: Vec<String>,
-    /// Dynamic happens-before verdict (hbsan, 3 schedules).
-    pub dynamic_verdict: bool,
-    /// Dynamic race descriptions.
-    pub dynamic_races: Vec<String>,
-    /// Per-model LLM answers (free text) and parsed verdicts, p1 prompt.
-    pub llm_answers: Vec<(String, String, Option<bool>)>,
-    /// Token count of the trimmed code.
-    pub tokens: usize,
-}
 
 /// The end-to-end pipeline of Figure 1.
 pub struct Pipeline {
@@ -92,56 +76,6 @@ impl Pipeline {
         &self.surrogates.iter().find(|(k, _)| *k == kind).expect("all four present").1
     }
 
-    /// Analyze an arbitrary snippet with every tool in the workspace.
-    ///
-    /// For code outside the calibrated corpus, the LLM verdicts come from
-    /// the surrogate's feature-based suspicion score (what the decision
-    /// layer degrades to without a calibration entry).
-    pub fn analyze(&self, source: &str) -> minic::Result<AnalysisReport> {
-        let trimmed = minic::trim_comments(source);
-        // Parse once; every downstream consumer (static, dynamic, LLM
-        // features, token count) shares this artifact.
-        let unit = minic::parse(&trimmed.code)?;
-
-        let st = racecheck::check(&unit);
-
-        let artifact = llm::AnalyzedKernel::from_parsed(&trimmed.code, Some(unit));
-        let ast = artifact.ast.as_ref().expect("parsed above");
-        let dy = hbsan::check_adversarial_compiled(
-            ast,
-            artifact.oracle_program(),
-            &hbsan::Config::default(),
-            &xcheck::DEFAULT_SEEDS,
-        )
-        .map(|s| s.report)
-        .unwrap_or_default();
-        let features = &artifact.features;
-        let mut llm_answers = Vec::new();
-        for (kind, _s) in &self.surrogates {
-            let suspicious = llm::feature_verdict(features, *kind);
-            let text = if suspicious {
-                format!("Yes, {} suspects a data race in this code.", kind.name())
-            } else {
-                format!("No, {} does not see a data race here.", kind.name())
-            };
-            let verdict = match eval::parse_verdict(&text) {
-                eval::Verdict::Yes => Some(true),
-                eval::Verdict::No => Some(false),
-                eval::Verdict::Unknown => None,
-            };
-            llm_answers.push((kind.short().to_string(), text, verdict));
-        }
-
-        Ok(AnalysisReport {
-            static_verdict: st.has_race(),
-            static_races: st.races.iter().map(racecheck::Race::describe).collect(),
-            dynamic_verdict: dy.has_race(),
-            dynamic_races: dy.races.iter().map(hbsan::DynRace::describe).collect(),
-            llm_answers,
-            tokens: artifact.tokens.len(),
-        })
-    }
-
     /// Run one calibrated detection experiment (model × prompt) over the
     /// evaluation subset.
     pub fn detection(&self, kind: ModelKind, strategy: PromptStrategy) -> eval::Confusion {
@@ -160,15 +94,12 @@ mod tests {
 
     #[test]
     fn pipeline_analyzes_clean_code() {
-        let p = Pipeline::new();
-        let r = p
-            .analyze(
-                "int a[64]; int main(void) {\n#pragma omp parallel for\nfor (int i=0;i<64;i++) a[i]=i;\n return 0; }",
-            )
-            .unwrap();
-        assert!(!r.static_verdict);
-        assert!(!r.dynamic_verdict);
-        assert_eq!(r.llm_answers.len(), 4);
+        let r = serve::analyze::analyze_code(
+            "int a[64]; int main(void) {\n#pragma omp parallel for\nfor (int i=0;i<64;i++) a[i]=i;\n return 0; }",
+        );
+        assert_eq!(r.verdicts.static_verdict, Some(false));
+        assert_eq!(r.verdicts.dynamic, Some(false));
+        assert_eq!(r.models.len(), 4);
     }
 
     #[test]

@@ -2,27 +2,28 @@
 //!
 //! A candidate patch is *certified* when
 //! 1. `racecheck` reports zero races on the patched kernel,
-//! 2. the adversarial happens-before sweep is clean under every
-//!    certification seed, and
+//! 2. the adversarial happens-before sweep is clean under every seed
+//!    of [`DEFAULT_SEEDS`], and
 //! 3. the patched kernel's observable output ([`hbsan::obs`]) is
 //!    byte-identical to the original's under each seed — modulo the
 //!    globals the patch itself privatizes.
 //!
-//! Gates 2 and 3 share one observed sweep
-//! ([`hbsan::check_adversarial_observed`]): one execution per seed
-//! yields both the trace the race analysis reads and the observation
-//! the equivalence check compares. The original's per-seed observations
-//! come from the same kind of sweep in the repair run's detect step and
-//! are shared by every candidate; both sides exploit the scheduler's
-//! seed-sensitivity short-circuit (a schedule that never consults its
-//! RNG produces the same run under every seed).
+//! The gates run in that order, so a candidate the static gate rejects
+//! never pays for a sweep. Gates 2 and 3 share one sweep
+//! ([`hbsan::check_adversarial_compiled`], which observes every seed):
+//! one execution per seed yields both the trace the race analysis reads
+//! and the observation the equivalence check compares. The original's
+//! per-seed observations come from the repair run's detect step
+//! ([`xcheck::detect`]) and are shared by every candidate; both sides
+//! exploit the scheduler's seed-sensitivity short-circuit (a schedule
+//! that never consults its RNG produces the same run under every seed).
 
-use crate::{Certificate, RepairConfig};
+use crate::Certificate;
 use hbsan::obs::{self, Observation};
 use hbsan::Config;
 use minic::printer::print_unit;
 use minic::TranslationUnit;
-use xcheck::{apply_repair, RepairEdit};
+use xcheck::{apply_repair, RepairEdit, DEFAULT_SEEDS};
 
 /// Apply an edit list in order; `None` when any edit does not apply
 /// (e.g. an earlier edit removed its target).
@@ -49,7 +50,6 @@ pub(crate) fn certify(
     base: &[Observation],
     edits: &[RepairEdit],
     patched: TranslationUnit,
-    cfg: &RepairConfig,
     fell_back: &mut bool,
 ) -> Option<Certified> {
     // Gate 1 — static: cheapest, so first.
@@ -57,13 +57,17 @@ pub(crate) fn certify(
         return None;
     }
 
-    // Gates 2 and 3 — one observed sweep over every seed, through the
-    // bytecode fast path (candidates are lowered fresh; they are new
-    // programs, not the cached original).
+    // Gates 2 and 3 — one sweep over every seed, through the bytecode
+    // fast path (candidates are lowered fresh; they are new programs,
+    // not the cached original).
     let prog = hbsan::lower(&patched).ok();
-    let sweep =
-        hbsan::check_adversarial_observed(&patched, prog.as_ref(), &Config::default(), &cfg.seeds)
-            .ok()?;
+    let sweep = hbsan::check_adversarial_compiled(
+        &patched,
+        prog.as_ref(),
+        &Config::default(),
+        &DEFAULT_SEEDS,
+    )
+    .ok()?;
     *fell_back |= sweep.fell_back;
     // Gate 2 — dynamic: no race under any seed.
     if sweep.report.has_race() {
@@ -87,8 +91,8 @@ pub(crate) fn certify(
         code,
         certificate: Certificate {
             racecheck_clean: true,
-            hbsan_seeds: cfg.seeds.clone(),
-            equivalent_seeds: cfg.seeds.clone(),
+            hbsan_seeds: DEFAULT_SEEDS.to_vec(),
+            equivalent_seeds: DEFAULT_SEEDS.to_vec(),
             scratch,
             surrogate_clean,
         },
@@ -103,23 +107,22 @@ mod tests {
     // privatization zeroing it) cannot sneak past the equivalence gate.
     const RACY_SUM: &str = "int sum;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) sum += i;\n  return sum;\n}\n";
 
-    fn setup(code: &str) -> (TranslationUnit, Vec<Observation>, RepairConfig) {
+    fn setup(code: &str) -> (TranslationUnit, Vec<Observation>) {
         let unit = minic::parse(code).unwrap();
-        let cfg = RepairConfig::default();
-        let base = hbsan::check_adversarial_observed(&unit, None, &Config::default(), &cfg.seeds)
+        let base = hbsan::check_adversarial_compiled(&unit, None, &Config::default(), &DEFAULT_SEEDS)
             .unwrap()
             .observations;
-        (unit, base, cfg)
+        (unit, base)
     }
 
     #[test]
     fn reduction_candidate_certifies() {
-        let (unit, base, cfg) = setup(RACY_SUM);
+        let (unit, base) = setup(RACY_SUM);
         let edits = [RepairEdit::AddReduction { var: "sum".into() }];
         let patched = apply_edits(&unit, &edits).unwrap();
         let mut fb = false;
-        let cert = certify(&base, &edits, patched, &cfg, &mut fb).expect("certifies");
-        assert!(cert.certificate.certified(&cfg.seeds));
+        let cert = certify(&base, &edits, patched, &mut fb).expect("certifies");
+        assert!(cert.certificate.certified());
         assert!(cert.certificate.scratch.is_empty());
     }
 
@@ -128,12 +131,12 @@ mod tests {
         // Privatizing `sum` zeroes it: race-free, but *not* the same
         // program — AddPrivate marks it scratch, yet the exit value
         // still differs, so equivalence must reject it.
-        let (unit, base, cfg) = setup(RACY_SUM);
+        let (unit, base) = setup(RACY_SUM);
         let edits = [RepairEdit::AddPrivate { var: "sum".into() }];
         let patched = apply_edits(&unit, &edits).unwrap();
         let mut fb = false;
         assert!(
-            certify(&base, &edits, patched, &cfg, &mut fb).is_none(),
+            certify(&base, &edits, patched, &mut fb).is_none(),
             "exit value depends on sum; privatization must fail equivalence"
         );
     }
@@ -142,13 +145,13 @@ mod tests {
     fn racy_candidate_is_rejected_at_the_static_gate() {
         // Two racy scalars; protecting only one leaves the other race
         // in place, so the static gate must reject the half-patch.
-        let (unit, base, cfg) = setup(
+        let (unit, base) = setup(
             "int sum; int count;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) {\n    sum += i;\n    count += 1;\n  }\n  return sum + count;\n}\n",
         );
         let edits = [RepairEdit::WrapCritical { var: "count".into() }];
         let patched = apply_edits(&unit, &edits).expect("applies");
         let mut fb = false;
-        assert!(certify(&base, &edits, patched, &cfg, &mut fb).is_none());
+        assert!(certify(&base, &edits, patched, &mut fb).is_none());
     }
 
     #[test]

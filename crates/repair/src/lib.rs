@@ -13,13 +13,14 @@
 //!    serialize-the-body fallback for dependences no clause can fix.
 //! 2. **Certification** ([`certify`]) — a candidate only survives if it
 //!    is provably better: `racecheck` clean, the adversarial `hbsan`
-//!    schedule sweep clean across every certification seed (bytecode
-//!    executor with interpreter fallback, like every other sweep in the
-//!    workspace), *and* byte-identical observable output
-//!    ([`hbsan::obs`]) versus the original under each seed's race-free
-//!    schedule. One execution per seed yields both the trace and the
-//!    observation ([`hbsan::check_adversarial_observed`]): the detect
-//!    step's sweep of the original doubles as the output baseline every
+//!    schedule sweep clean across every seed of
+//!    [`xcheck::DEFAULT_SEEDS`] (bytecode executor with interpreter
+//!    fallback, like every other sweep in the workspace), *and*
+//!    byte-identical observable output ([`hbsan::obs`]) versus the
+//!    original under each seed's race-free schedule. Every sweep
+//!    observes, so one execution per seed yields both the trace and the
+//!    observation: the detect step — the workspace's one detector stack,
+//!    [`xcheck::detect`] — doubles as the output baseline every
 //!    candidate is compared with, and each candidate's sweep gives its
 //!    race verdict and its output at once. The surrogate-LLM verdict is
 //!    recorded in the certificate but does not gate it — the
@@ -45,27 +46,24 @@ pub use sweep::{
 use llm::AnalyzedKernel;
 use minic::printer::print_unit;
 use std::sync::Arc;
-use xcheck::{RepairEdit, Verdicts};
+use xcheck::{RepairEdit, Verdicts, DEFAULT_SEEDS};
 
 /// Tuning knobs for one repair run.
 #[derive(Debug, Clone)]
 pub struct RepairConfig {
-    /// Schedule seeds every certification sweep and equivalence check
-    /// runs under (the pipeline's standard adversarial seed set).
-    pub seeds: Vec<u64>,
     /// Cap on candidate patches certified per kernel.
     pub max_candidates: usize,
 }
 
 impl Default for RepairConfig {
     fn default() -> Self {
-        RepairConfig { seeds: xcheck::DEFAULT_SEEDS.to_vec(), max_candidates: 16 }
+        RepairConfig { max_candidates: 16 }
     }
 }
 
 /// The machine-checkable evidence attached to every emitted patch.
 /// Every field is reproducible from `patched_code` + the original
-/// kernel + the seed list; [`smoke`] replays one end-to-end.
+/// kernel + [`DEFAULT_SEEDS`]; [`smoke`] replays one end-to-end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Certificate {
     /// `racecheck` reports zero races on the patched kernel.
@@ -87,9 +85,12 @@ pub struct Certificate {
 
 impl Certificate {
     /// Whether the certificate's gating claims all hold: static clean,
-    /// dynamic clean on every seed, output-equivalent on every seed.
-    pub fn certified(&self, seeds: &[u64]) -> bool {
-        self.racecheck_clean && self.hbsan_seeds == seeds && self.equivalent_seeds == seeds
+    /// dynamic clean on every seed of [`DEFAULT_SEEDS`], output-equivalent
+    /// on every one of them.
+    pub fn certified(&self) -> bool {
+        self.racecheck_clean
+            && self.hbsan_seeds == DEFAULT_SEEDS
+            && self.equivalent_seeds == DEFAULT_SEEDS
     }
 }
 
@@ -119,9 +120,8 @@ pub enum Outcome {
     /// A certified patch was found (and minimized).
     Fixed(Fix),
     /// Every applicable candidate failed certification — or the
-    /// original kernel cannot be executed for an output baseline (or
-    /// there are no seeds to execute it under), so no equivalence
-    /// evidence is obtainable.
+    /// original kernel cannot be executed for an output baseline, so no
+    /// equivalence evidence is obtainable.
     Unfixed,
 }
 
@@ -192,7 +192,7 @@ pub fn fix_cached(artifact: &AnalyzedKernel) -> Arc<FixReport> {
 /// [`fix`] over an existing analysis artifact (reuses the cached parse
 /// and lowered bytecode program; builds nothing twice).
 pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport {
-    let Some(unit) = artifact.ast.as_ref() else {
+    let (Some(unit), Some(detection)) = (artifact.ast.as_ref(), xcheck::detect(artifact)) else {
         return FixReport {
             verdicts: None,
             outcome: Outcome::Unparseable,
@@ -200,33 +200,12 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
             fell_back: false,
         };
     };
-    let mut fell_back = false;
 
-    // Detect: the same three verdicts the xcheck harness computes,
-    // through the artifact's cached bytecode program. The sweep is
-    // observed, so the same runs also give the original's per-seed
-    // output — the baseline every candidate is checked against.
-    let st = racecheck::check(unit);
-    let (dy, base) = match hbsan::check_adversarial_observed(
-        unit,
-        artifact.oracle_program(),
-        &hbsan::Config::default(),
-        &cfg.seeds,
-    ) {
-        Ok(s) => {
-            fell_back |= s.fell_back;
-            (Some(s.report), s.observations)
-        }
-        Err(_) => {
-            fell_back = true;
-            (None, Vec::new())
-        }
-    };
-    let verdicts = Verdicts {
-        stat: st.has_race(),
-        dynv: dy.as_ref().map(hbsan::DynReport::has_race),
-        llm: llm::feature_verdict(&artifact.features, llm::ModelKind::Gpt4),
-    };
+    // Detect: the workspace's one detector stack. Its sweep observes, so
+    // the same runs also give the original's per-seed output — the
+    // baseline every candidate is checked against.
+    let verdicts = detection.verdicts();
+    let mut fell_back = detection.fell_back();
     let flagged = verdicts.stat || verdicts.dynv == Some(true) || verdicts.llm;
     if !flagged {
         return FixReport {
@@ -237,26 +216,28 @@ pub fn fix_artifact(artifact: &AnalyzedKernel, cfg: &RepairConfig) -> FixReport 
         };
     }
 
-    // Without a baseline observation — the original cannot run, or
-    // there are no seeds — there is no equivalence evidence, hence no
-    // certificate (per-seed checks over zero seeds would pass vacuously).
-    if base.is_empty() {
+    // Without a baseline observation — the original cannot run — there
+    // is no equivalence evidence, hence no certificate.
+    let Ok(sweep) = &detection.sweep else {
         return FixReport {
             verdicts: Some(verdicts),
             outcome: Outcome::Unfixed,
             candidates_tried: 0,
             fell_back,
         };
-    }
+    };
+    let base = &sweep.observations;
 
     let canon = print_unit(unit);
     let mut tried = 0usize;
-    for cand in candidates::enumerate(unit, &st, dy.as_ref(), cfg.max_candidates) {
+    let cands =
+        candidates::enumerate(unit, &detection.stat, Some(&sweep.report), cfg.max_candidates);
+    for cand in cands {
         let Some(patched) = certify::apply_edits(unit, &cand) else { continue };
         tried += 1;
-        if let Some(cert) = certify::certify(&base, &cand, patched, cfg, &mut fell_back) {
+        if let Some(cert) = certify::certify(base, &cand, patched, &mut fell_back) {
             let (edits, cert) =
-                minimize::minimize(unit, cand, cert, &base, cfg, &mut fell_back, &mut tried);
+                minimize::minimize(unit, cand, cert, base, &mut fell_back, &mut tried);
             let patch = minic::unified_diff(&canon, &cert.code, 2);
             let patch_lines = minic::diff_size(&patch);
             return FixReport {
@@ -288,16 +269,16 @@ mod tests {
 
     const RACY_SUM: &str = "int sum;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) sum += i;\n  return sum;\n}\n";
     const CLEAN: &str = "int a[64];\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) a[i] = i * 2;\n  return 0;\n}\n";
+    const FUEL_BURNER: &str = "int x;\nint main() {\n  int i;\n  #pragma omp parallel for\n  for (i = 0; i < 4; i++) {\n    while (1) { x = x + 1; }\n  }\n  return 0;\n}\n";
     const RACY_STENCIL: &str = "int a[64];\nint main() {\n  int i;\n  #pragma omp parallel for\n  for (i = 0; i < 61; i++) {\n    a[i] = a[i + 1] + 1;\n  }\n  return 0;\n}\n";
 
     #[test]
     fn racy_sum_gets_a_reduction_patch() {
-        let cfg = RepairConfig::default();
-        let r = fix(RACY_SUM, &cfg);
+        let r = fix(RACY_SUM, &RepairConfig::default());
         let f = r.fix().expect("racy sum is fixable");
         assert_eq!(f.edits, vec![RepairEdit::AddReduction { var: "sum".into() }]);
         assert!(f.patch.contains("+") && f.patch.contains("reduction(+: sum)"), "{}", f.patch);
-        assert!(f.certificate.certified(&cfg.seeds));
+        assert!(f.certificate.certified());
         assert!(f.certificate.surrogate_clean, "reduction clause satisfies the surrogate too");
         assert_eq!(f.patch_lines, 2, "one pragma line replaced: {}", f.patch);
         assert!(r.candidates_tried >= 1);
@@ -313,10 +294,9 @@ mod tests {
 
     #[test]
     fn stencil_race_serializes() {
-        let cfg = RepairConfig::default();
-        let r = fix(RACY_STENCIL, &cfg);
+        let r = fix(RACY_STENCIL, &RepairConfig::default());
         let f = r.fix().expect("stencil is fixable by serialization");
-        assert!(f.certificate.certified(&cfg.seeds));
+        assert!(f.certificate.certified());
         assert!(
             f.edits.iter().any(|e| matches!(
                 e,
@@ -339,8 +319,7 @@ mod tests {
 
     #[test]
     fn certificate_replays_green() {
-        let cfg = RepairConfig::default();
-        let r = fix(RACY_SUM, &cfg);
+        let r = fix(RACY_SUM, &RepairConfig::default());
         let f = r.fix().unwrap();
         // Replay every certificate claim from scratch on the emitted
         // patch text — the whole point of a machine-checkable cert.
@@ -351,11 +330,11 @@ mod tests {
             &patched,
             None,
             &hbsan::Config::default(),
-            &cfg.seeds,
+            &DEFAULT_SEEDS,
         )
         .unwrap();
         assert!(!sweep.report.has_race());
-        for &seed in &cfg.seeds {
+        for seed in DEFAULT_SEEDS {
             let c = hbsan::Config { seed, ..hbsan::Config::default() };
             let a = hbsan::observe(&orig, &c).unwrap();
             let b = hbsan::observe(&patched, &c).unwrap();
@@ -364,13 +343,15 @@ mod tests {
     }
 
     #[test]
-    fn empty_seed_list_never_certifies() {
-        // No seeds means no dynamic or equivalence evidence: the static
-        // verdict still flags the kernel, but no certificate may be
-        // issued on vacuous per-seed claims.
-        let cfg = RepairConfig { seeds: Vec::new(), ..RepairConfig::default() };
-        let r = fix(RACY_SUM, &cfg);
-        assert!(r.verdicts.unwrap().stat);
+    fn unrunnable_original_never_certifies() {
+        // The original runs out of fuel, so there is no dynamic verdict
+        // and no output baseline: the static verdict still flags the
+        // kernel, but no candidate may be certified without equivalence
+        // evidence.
+        let r = fix(FUEL_BURNER, &RepairConfig::default());
+        let v = r.verdicts.unwrap();
+        assert!(v.stat);
+        assert_eq!(v.dynv, None);
         assert_eq!(r.outcome, Outcome::Unfixed);
         assert_eq!(r.candidates_tried, 0);
     }

@@ -8,7 +8,6 @@
 //! the certificate.
 
 use crate::certify::{apply_edits, certify, Certified};
-use crate::RepairConfig;
 use hbsan::Observation;
 use minic::TranslationUnit;
 use xcheck::RepairEdit;
@@ -18,7 +17,6 @@ pub(crate) fn minimize(
     mut edits: Vec<RepairEdit>,
     mut cert: Certified,
     base: &[Observation],
-    cfg: &RepairConfig,
     fell_back: &mut bool,
     tried: &mut usize,
 ) -> (Vec<RepairEdit>, Certified) {
@@ -28,7 +26,7 @@ pub(crate) fn minimize(
         smaller.remove(i);
         if let Some(patched) = apply_edits(original, &smaller) {
             *tried += 1;
-            if let Some(c) = certify(base, &smaller, patched, cfg, fell_back) {
+            if let Some(c) = certify(base, &smaller, patched, fell_back) {
                 edits = smaller;
                 cert = c;
                 i = 0; // restart: earlier edits may now be droppable too
@@ -43,9 +41,10 @@ pub(crate) fn minimize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xcheck::DEFAULT_SEEDS;
 
-    fn baseline(unit: &TranslationUnit, cfg: &RepairConfig) -> Vec<Observation> {
-        hbsan::check_adversarial_observed(unit, None, &hbsan::Config::default(), &cfg.seeds)
+    fn baseline(unit: &TranslationUnit) -> Vec<Observation> {
+        hbsan::check_adversarial_compiled(unit, None, &hbsan::Config::default(), &DEFAULT_SEEDS)
             .unwrap()
             .observations
     }
@@ -56,20 +55,19 @@ mod tests {
         // on the (non-racy) array is dead weight the minimizer removes.
         let code = "int sum; int a[64];\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) { a[i] = i; sum += i; }\n  return sum;\n}\n";
         let unit = minic::parse(code).unwrap();
-        let cfg = RepairConfig::default();
         let mut fb = false;
-        let base = baseline(&unit, &cfg);
+        let base = baseline(&unit);
         let edits = vec![
             RepairEdit::AddReduction { var: "sum".into() },
             RepairEdit::WrapCritical { var: "a".into() },
         ];
         let patched = apply_edits(&unit, &edits).unwrap();
-        let cert = certify(&base, &edits, patched, &cfg, &mut fb).expect("combo certifies");
+        let cert = certify(&base, &edits, patched, &mut fb).expect("combo certifies");
         let mut tried = 0;
         let (min_edits, min_cert) =
-            minimize(&unit, edits, cert, &base, &cfg, &mut fb, &mut tried);
+            minimize(&unit, edits, cert, &base, &mut fb, &mut tried);
         assert_eq!(min_edits, vec![RepairEdit::AddReduction { var: "sum".into() }]);
-        assert!(min_cert.certificate.certified(&cfg.seeds));
+        assert!(min_cert.certificate.certified());
         assert!(tried >= 1);
     }
 
@@ -77,15 +75,14 @@ mod tests {
     fn single_edit_is_already_minimal() {
         let code = "int sum;\nint main() {\n  #pragma omp parallel for\n  for (int i = 0; i < 64; i++) sum += i;\n  return sum;\n}\n";
         let unit = minic::parse(code).unwrap();
-        let cfg = RepairConfig::default();
         let mut fb = false;
-        let base = baseline(&unit, &cfg);
+        let base = baseline(&unit);
         let edits = vec![RepairEdit::AddReduction { var: "sum".into() }];
         let patched = apply_edits(&unit, &edits).unwrap();
-        let cert = certify(&base, &edits, patched, &cfg, &mut fb).unwrap();
+        let cert = certify(&base, &edits, patched, &mut fb).unwrap();
         let mut tried = 0;
         let (min_edits, _) =
-            minimize(&unit, edits.clone(), cert, &base, &cfg, &mut fb, &mut tried);
+            minimize(&unit, edits.clone(), cert, &base, &mut fb, &mut tried);
         assert_eq!(min_edits, edits);
         assert_eq!(tried, 0, "nothing to drop, nothing re-certified");
     }

@@ -11,6 +11,7 @@
 use crate::{edit_label, fix, RepairConfig};
 use par::{default_workers, par_map};
 use std::fmt::Write as _;
+use xcheck::DEFAULT_SEEDS;
 
 /// One corpus kernel's repair result, flattened for tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,7 +164,7 @@ pub fn smoke() -> Result<String, String> {
     if !f.patched_code.contains("reduction") {
         return Err(format!("fixture patch is not a reduction:\n{}", f.patch));
     }
-    if !f.certificate.certified(&cfg.seeds) {
+    if !f.certificate.certified() {
         return Err("fixture certificate does not cover all seeds".into());
     }
 
@@ -179,12 +180,12 @@ pub fn smoke() -> Result<String, String> {
         return Err("certificate replay: racecheck found races in the patch".into());
     }
     let sweep =
-        hbsan::check_adversarial_compiled(&patched, None, &hbsan::Config::default(), &cfg.seeds)
+        hbsan::check_adversarial_compiled(&patched, None, &hbsan::Config::default(), &DEFAULT_SEEDS)
             .map_err(|e| format!("certificate replay: sweep failed: {e}"))?;
     if sweep.report.has_race() {
         return Err("certificate replay: hbsan found races in the patch".into());
     }
-    for &seed in &cfg.seeds {
+    for seed in DEFAULT_SEEDS {
         let c = hbsan::Config { seed, ..hbsan::Config::default() };
         let a = hbsan::observe(&orig, &c).map_err(|e| e.to_string())?;
         let b = hbsan::observe(&patched, &c).map_err(|e| e.to_string())?;
@@ -201,7 +202,7 @@ pub fn smoke() -> Result<String, String> {
     for (name, r) in &sample {
         if let Some(f) = r.fix() {
             fixed += 1;
-            if !f.certificate.certified(&cfg.seeds) {
+            if !f.certificate.certified() {
                 return Err(format!("{name}: emitted a fix with an incomplete certificate"));
             }
         }

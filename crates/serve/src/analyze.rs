@@ -3,16 +3,15 @@
 //! One deterministic pure function ([`response_body`]) produces the
 //! response for a kernel, so the cache can store serialized bytes and a
 //! hit is guaranteed byte-identical to a fresh computation. The
-//! analysis itself is the same stack the rest of the workspace uses:
-//! one [`llm::AnalyzedKernel`] per kernel (parse/tokenize/feature-pass
-//! exactly once), `racecheck` for the static verdict, `hbsan`'s
-//! adversarial schedule sweep over [`xcheck::DEFAULT_SEEDS`] for the
-//! dynamic one, and the shared [`xcheck::Verdicts`] adapter for the
-//! consensus summary.
+//! analysis itself is the workspace's one detector stack: one
+//! [`llm::AnalyzedKernel`] per kernel (parse/tokenize/feature-pass
+//! exactly once) run through [`xcheck::detect`]; this module only maps
+//! its [`xcheck::Detection`] onto the wire shape. `racellm-cli analyze`
+//! prints the same response.
 
 use llm::{feature_verdict, AnalyzedKernel, ModelKind};
 use serde::{Deserialize, Serialize};
-use xcheck::{Verdicts, DEFAULT_SEEDS};
+use xcheck::{Detection, Verdicts};
 
 /// Wire request: `{"code": "..."}`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -45,6 +44,17 @@ pub struct WireVerdicts {
     pub consensus: Option<bool>,
 }
 
+impl From<Verdicts> for WireVerdicts {
+    fn from(v: Verdicts) -> Self {
+        WireVerdicts {
+            static_verdict: Some(v.stat),
+            dynamic: v.dynv,
+            llm: v.llm,
+            consensus: v.consensus(),
+        }
+    }
+}
+
 /// Racing variable pair in the paper's variable-identification wire
 /// shape (the same keys `eval::parse_pairs` reads from LLM responses).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,7 +80,7 @@ pub struct AnalyzeResponse {
     pub verdicts: WireVerdicts,
     /// Static race descriptions (`a[i+1]@3:18:R vs. a[i]@3:13:W`).
     pub static_races: Vec<String>,
-    /// Dynamic race descriptions (capped at 5, like `Pipeline::analyze`).
+    /// Dynamic race descriptions (capped at 5).
     pub dynamic_races: Vec<String>,
     /// Per-model surrogate verdicts, Table-3 order.
     pub models: Vec<WireModel>,
@@ -115,59 +125,31 @@ pub fn analyze_code_traced(source: &str) -> (AnalyzeResponse, bool) {
             verdict: feature_verdict(&artifact.features, *k),
         })
         .collect();
-    let llm_verdict = feature_verdict(&artifact.features, ModelKind::Gpt4);
 
-    let mut fell_back = false;
-    let (verdicts, static_races, dynamic_races, var_pairs) = match &artifact.ast {
-        Some(unit) => {
-            let st = racecheck::check(unit);
-            let (dynamic, dynamic_races) = match hbsan::check_adversarial_compiled(
-                unit,
-                artifact.oracle_program(),
-                &hbsan::Config::default(),
-                &DEFAULT_SEEDS,
-            ) {
-                Ok(sweep) => {
-                    fell_back = sweep.fell_back;
-                    let rep = sweep.report;
-                    let races: Vec<String> =
-                        rep.races.iter().take(5).map(hbsan::DynRace::describe).collect();
-                    (Some(rep.has_race()), races)
-                }
-                // A sweep error means even the interpreter fallback
-                // could not execute the kernel.
-                Err(_) => {
-                    fell_back = true;
-                    (None, Vec::new())
-                }
-            };
-            let v = Verdicts { stat: st.has_race(), dynv: dynamic, llm: llm_verdict };
-            let pairs = st.races.first().map(|r| WirePairs {
-                variable_names: vec![r.first.var.clone(), r.second.var.clone()],
-                line_numbers: vec![r.first.span.line(), r.second.span.line()],
-                operations: vec![op_word(r.first.kind).into(), op_word(r.second.kind).into()],
-            });
-            let verdicts = WireVerdicts {
-                static_verdict: Some(v.stat),
-                dynamic: v.dynv,
-                llm: v.llm,
-                consensus: v.consensus(),
-            };
-            let races: Vec<String> = st.races.iter().map(racecheck::Race::describe).collect();
-            (verdicts, races, dynamic_races, pairs)
-        }
-        None => (
-            WireVerdicts {
-                static_verdict: None,
-                dynamic: None,
-                llm: llm_verdict,
-                consensus: None,
-            },
-            Vec::new(),
-            Vec::new(),
-            None,
-        ),
+    let detection = xcheck::detect(&artifact);
+    let verdicts = match &detection {
+        Some(d) => WireVerdicts::from(d.verdicts()),
+        // Unparseable: only the surrogate, which degrades gracefully on
+        // a failed parse, has a verdict.
+        None => WireVerdicts {
+            static_verdict: None,
+            dynamic: None,
+            llm: feature_verdict(&artifact.features, ModelKind::Gpt4),
+            consensus: None,
+        },
     };
+    let st = detection.as_ref().map(|d| &d.stat);
+    let static_races =
+        st.map_or_else(Vec::new, |st| st.races.iter().map(racecheck::Race::describe).collect());
+    let dynamic_races = match detection.as_ref().map(|d| &d.sweep) {
+        Some(Ok(s)) => s.report.races.iter().take(5).map(hbsan::DynRace::describe).collect(),
+        _ => Vec::new(),
+    };
+    let var_pairs = st.and_then(|st| st.races.first()).map(|r| WirePairs {
+        variable_names: vec![r.first.var.clone(), r.second.var.clone()],
+        line_numbers: vec![r.first.span.line(), r.second.span.line()],
+        operations: vec![op_word(r.first.kind).into(), op_word(r.second.kind).into()],
+    });
 
     let resp = AnalyzeResponse {
         tokens: artifact.tokens.len(),
@@ -179,7 +161,7 @@ pub fn analyze_code_traced(source: &str) -> (AnalyzeResponse, bool) {
         models,
         var_pairs,
     };
-    (resp, fell_back)
+    (resp, detection.as_ref().is_some_and(Detection::fell_back))
 }
 
 /// The canonical serialized response for a kernel — exactly the bytes

@@ -11,7 +11,8 @@
 //! 2. [`mutate`] — semantics-preserving rewrites (verdicts must stay
 //!    fixed) and label-flipping edits (expected label delta derived
 //!    from the recipe),
-//! 3. [`verdict`] — the uniform three-detector adapter, swept with
+//! 3. [`verdict`] — the detector stack ([`detect`]) every surface
+//!    composes the three detectors through, swept with
 //!    [`par::par_map`],
 //! 4. [`shrink`] — a delta-debugging loop that reduces every
 //!    disagreement to a minimal reproducing kernel,
@@ -41,7 +42,7 @@ pub use mutate::{apply_flip, apply_sem, FlipMutation, SemMutation};
 pub use patch::{apply_repair, RepairEdit};
 pub use report::render_report;
 pub use shrink::{reproduces, shrink};
-pub use verdict::{verdicts_of_code, verdicts_of_unit, Verdicts, DEFAULT_SEEDS};
+pub use verdict::{detect, verdicts_of_code, verdicts_of_unit, Detection, Verdicts, DEFAULT_SEEDS};
 
 use eval::Agreement;
 

@@ -1,15 +1,22 @@
-//! Uniform verdict adapter over the three detectors.
+//! The detector stack: the one place the three detectors are composed.
 //!
-//! One parse feeds all three: `racecheck` (static), `hbsan` (dynamic,
-//! adversarial schedule sweep over the same fixed seed set the umbrella
-//! pipeline uses), and the surrogate-LLM feature verdict at GPT-4 depth
-//! (the uncalibrated path — calibration tables are keyed by corpus
-//! kernel id and say nothing about generated code).
+//! [`detect`] runs all three on one [`AnalyzedKernel`] — one parse, one
+//! lowered program — and every surface that reports "the static,
+//! dynamic and LLM verdicts on a kernel" goes through it: the analyze
+//! engine behind `racellm-cli analyze` and `/v1/analyze`, the repair
+//! loop's detect step, and this crate's differential sweep. The three
+//! detectors are `racecheck` (static), one `hbsan` adversarial schedule
+//! sweep over [`DEFAULT_SEEDS`] through the artifact's cached bytecode
+//! program (dynamic), and the surrogate-LLM feature verdict at GPT-4
+//! depth (the uncalibrated path — calibration tables are keyed by
+//! corpus kernel id and say nothing about arbitrary code).
 
-use llm::{CodeFeatures, ModelKind};
+use hbsan::{CompiledSweep, RtError};
+use llm::{AnalyzedKernel, ModelKind};
 use minic::TranslationUnit;
 
-/// The schedule seeds every sweep uses (same as `Pipeline::analyze`).
+/// The schedule seeds every dynamic sweep and every repair certificate
+/// uses.
 pub const DEFAULT_SEEDS: [u64; 3] = [1, 7, 23];
 
 /// One verdict per detector for one kernel.
@@ -17,8 +24,8 @@ pub const DEFAULT_SEEDS: [u64; 3] = [1, 7, 23];
 pub struct Verdicts {
     /// `racecheck` static verdict.
     pub stat: bool,
-    /// `hbsan` dynamic verdict; `None` when the interpreter could not
-    /// execute the kernel (fuel, bad address, …).
+    /// `hbsan` dynamic verdict; `None` when the kernel could not be
+    /// executed (fuel, bad address, …) — "could not run", never "clean".
     pub dynv: Option<bool>,
     /// Surrogate-LLM feature verdict (GPT-4 analysis depth).
     pub llm: bool,
@@ -46,28 +53,64 @@ impl Verdicts {
     }
 }
 
-/// Run all three detectors on a parsed unit (`code` is only used for
-/// token counting — it must be the unit's source).
-pub fn verdicts_of_unit(unit: &TranslationUnit, code: &str) -> Verdicts {
-    let stat = racecheck::verdict(unit);
-    // Lower once, sweep all seeds through the bytecode executor; kernels
-    // the lowerer rejects fall back to the AST interpreter inside
-    // `verdict_compiled` with identical verdicts (proven corpus-wide by
-    // drb-gen's bytecode_differential test).
-    let prog = hbsan::lower(unit).ok();
-    let dynv =
-        hbsan::verdict_compiled(unit, prog.as_ref(), &hbsan::Config::default(), &DEFAULT_SEEDS)
-            .ok();
-    let features = CodeFeatures::from_parts(llm::count_tokens(code), Some(unit));
-    let llm = llm::feature_verdict(&features, ModelKind::Gpt4);
-    Verdicts { stat, dynv, llm }
+/// Everything the three detectors found on one parsed kernel.
+#[derive(Debug)]
+pub struct Detection {
+    /// `racecheck`'s report.
+    pub stat: racecheck::RaceReport,
+    /// One observed adversarial sweep over [`DEFAULT_SEEDS`]: the merged
+    /// race report plus each seed's output observation. `Err` when even
+    /// the interpreter fallback could not execute the kernel.
+    pub sweep: Result<CompiledSweep, RtError>,
+    /// Surrogate-LLM feature verdict at GPT-4 depth.
+    pub llm: bool,
 }
 
-/// Parse and run all three detectors; `None` when the code no longer
-/// parses (a mutation or shrink step went wrong).
+impl Detection {
+    /// The per-detector verdicts.
+    pub fn verdicts(&self) -> Verdicts {
+        Verdicts {
+            stat: self.stat.has_race(),
+            dynv: self.sweep.as_ref().ok().map(|s| s.report.has_race()),
+            llm: self.llm,
+        }
+    }
+
+    /// Whether the dynamic sweep left the bytecode executor: some seed
+    /// ran on the AST interpreter, or the kernel could not be executed
+    /// at all. A side channel for metrics; it never changes a verdict.
+    pub fn fell_back(&self) -> bool {
+        self.sweep.as_ref().map_or(true, |s| s.fell_back)
+    }
+}
+
+/// Run the three detectors on an analyzed kernel; `None` when it does
+/// not parse.
+pub fn detect(artifact: &AnalyzedKernel) -> Option<Detection> {
+    let unit = artifact.ast.as_ref()?;
+    Some(Detection {
+        stat: racecheck::check(unit),
+        sweep: hbsan::check_adversarial_compiled(
+            unit,
+            artifact.oracle_program(),
+            &hbsan::Config::default(),
+            &DEFAULT_SEEDS,
+        ),
+        llm: llm::feature_verdict(&artifact.features, ModelKind::Gpt4),
+    })
+}
+
+/// [`detect`]'s verdicts on a parsed unit (`code` must be the unit's
+/// source: it feeds the token count).
+pub fn verdicts_of_unit(unit: &TranslationUnit, code: &str) -> Verdicts {
+    let artifact = AnalyzedKernel::from_parsed(code, Some(unit.clone()));
+    detect(&artifact).expect("artifact holds a parsed unit").verdicts()
+}
+
+/// Parse and run [`detect`]; `None` when the code no longer parses (a
+/// mutation or shrink step went wrong).
 pub fn verdicts_of_code(code: &str) -> Option<Verdicts> {
-    let unit = minic::parse(code).ok()?;
-    Some(verdicts_of_unit(&unit, code))
+    detect(&AnalyzedKernel::analyze(code)).map(|d| d.verdicts())
 }
 
 #[cfg(test)]

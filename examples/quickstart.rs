@@ -2,6 +2,7 @@
 //!
 //!     cargo run --release -p racellm --example quickstart
 
+use racellm::serve::analyze::analyze_code;
 use racellm::Pipeline;
 
 fn main() {
@@ -25,26 +26,27 @@ int main(int argc, char* argv[])
 }
 "#;
 
-    println!("Building the pipeline (corpus → DRB-ML → calibrated surrogates)…");
-    let pipeline = Pipeline::new();
-
-    println!("\nAnalyzing the snippet with every tool in the workspace:\n");
-    let report = pipeline.analyze(source).expect("snippet parses");
+    println!("Analyzing the snippet with every tool in the workspace:\n");
+    let report = analyze_code(source);
+    let v = &report.verdicts;
 
     println!("tokens (trimmed): {}", report.tokens);
-    println!("\nstatic detector : race = {}", report.static_verdict);
+    println!("\nstatic detector : race = {:?}", v.static_verdict);
     for r in &report.static_races {
         println!("  {r}");
     }
-    println!("\ndynamic checker : race = {}", report.dynamic_verdict);
+    println!("\ndynamic checker : race = {:?}", v.dynamic);
     for r in report.dynamic_races.iter().take(3) {
         println!("  {r}");
     }
-    println!("\nLLM surrogates (feature-based, p1-style):");
-    for (model, text, verdict) in &report.llm_answers {
-        println!("  {model:4} → {:?}: {text}", verdict);
+    println!("\nLLM surrogates (feature-based verdicts):");
+    for m in &report.models {
+        println!("  {:4} → race = {}", m.model, m.verdict);
     }
+    println!("\nconsensus       : {:?}", v.consensus);
 
+    println!("\nBuilding the pipeline (corpus → DRB-ML → calibrated surrogates)…");
+    let pipeline = Pipeline::new();
     println!("\nCalibrated benchmark numbers (paper Table 3, p1 column):");
     let baseline = pipeline.baseline();
     println!("  Ins  : {baseline}");

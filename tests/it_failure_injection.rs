@@ -2,7 +2,7 @@
 //! pipeline must degrade, never panic (paper §4.5's parsing challenge,
 //! plus frontend robustness).
 
-use racellm::{drb_gen, drb_ml, eval, finetune, hbsan, llm, minic, racecheck};
+use racellm::{drb_gen, drb_ml, eval, finetune, hbsan, llm, minic, racecheck, serve};
 
 #[test]
 fn parser_survives_mutated_kernels() {
@@ -83,8 +83,7 @@ fn interpreter_rejects_runaway_and_oob_programs() {
 
 #[test]
 fn unknown_code_gets_feature_fallback_not_a_crash() {
-    // Arbitrary (non-corpus) code through the umbrella pipeline.
-    let p = racellm::Pipeline::new();
+    // Arbitrary (non-corpus) code through the analyze engine.
     let exotic = r#"
 double q[32];
 void kernel(void)
@@ -95,9 +94,47 @@ void kernel(void)
     q[t] = q[t + 1] * 0.5;
 }
 "#;
-    let report = p.analyze(exotic).unwrap();
-    assert!(report.static_verdict);
-    assert_eq!(report.llm_answers.len(), 4);
+    let report = serve::analyze::analyze_code(exotic);
+    assert_eq!(report.verdicts.static_verdict, Some(true));
+    assert_eq!(report.models.len(), 4);
+}
+
+/// A kernel whose every schedule runs out of fuel. The static detector
+/// flags the unprotected `x` update, but no dynamic verdict exists.
+const FUEL_BURNER: &str = "int x;
+int main() {
+  int i;
+  #pragma omp parallel for
+  for (i = 0; i < 4; i++) {
+    while (1) { x = x + 1; }
+  }
+  return 0;
+}
+";
+
+#[test]
+fn unrunnable_kernel_reports_unknown_not_clean() {
+    // "Could not run" must never be reported as "clean": the analyze
+    // engine, and the CLI that prints it, keep the dynamic verdict
+    // unknown.
+    let r = serve::analyze::analyze_code(FUEL_BURNER);
+    assert_eq!(r.verdicts.static_verdict, Some(true));
+    assert_eq!(r.verdicts.dynamic, None);
+    assert_eq!(r.verdicts.consensus, None);
+
+    let path = std::env::temp_dir().join(format!("racellm-fuel-{}.c", std::process::id()));
+    std::fs::write(&path, FUEL_BURNER).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_racellm-cli"))
+        .arg("analyze")
+        .arg(&path)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("static  : race = true"), "{stdout}");
+    assert!(stdout.contains("dynamic : race = unknown"), "{stdout}");
+    // Static flags the kernel, so the exit code still reports a race.
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Integration: the full Figure-1 pipeline — prompts rendered from the
 //! dataset, surrogate chat, response parsing, scoring — plus the
-//! umbrella `Pipeline` API.
+//! umbrella `Pipeline` API and the one-kernel analyze engine.
 
 use racellm::{drb_ml, eval, llm, Pipeline};
 
@@ -40,15 +40,15 @@ fn prompts_embed_the_code_and_match_listings() {
 
 #[test]
 fn pipeline_analyze_agrees_with_corpus_labels() {
-    let p = Pipeline::new();
-    // A racy and a clean snippet straight from the corpus.
+    // A racy snippet straight from the corpus, through the analyze
+    // engine behind `racellm-cli analyze`.
     let corpus = racellm::drb_gen::corpus();
     let racy = corpus
         .iter()
         .find(|k| k.race && k.behavior == racellm::drb_gen::ToolBehavior::Standard)
         .unwrap();
-    let report = p.analyze(&racy.code).unwrap();
-    assert!(report.static_verdict || report.dynamic_verdict, "{}", racy.name);
+    let v = racellm::serve::analyze::analyze_code(&racy.code).verdicts;
+    assert!(v.static_verdict == Some(true) || v.dynamic == Some(true), "{}", racy.name);
 }
 
 #[test]
