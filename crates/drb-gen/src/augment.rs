@@ -42,31 +42,16 @@ pub fn collect_names(unit: &TranslationUnit) -> Vec<String> {
         }
     };
     fn stmt(s: &Stmt, push: &mut dyn FnMut(&str)) {
-        match s {
-            Stmt::Decl(d) => {
-                for v in &d.vars {
-                    push(&v.name);
-                }
-            }
-            Stmt::Block(b) => b.stmts.iter().for_each(|s| stmt(s, push)),
-            Stmt::If { then, els, .. } => {
-                stmt(then, push);
-                if let Some(e) = els {
-                    stmt(e, push);
-                }
-            }
-            Stmt::For(f) => {
-                if let ForInit::Decl(d) = &f.init {
-                    for v in &d.vars {
-                        push(&v.name);
-                    }
-                }
-                stmt(&f.body, push);
-            }
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, push),
-            Stmt::Omp { body: Some(b), .. } => stmt(b, push),
-            _ => {}
-        }
+        let decl = match s {
+            Stmt::Decl(d) => Some(d),
+            Stmt::For(f) => match &f.init {
+                ForInit::Decl(d) => Some(d),
+                _ => None,
+            },
+            _ => None,
+        };
+        decl.into_iter().flat_map(|d| &d.vars).for_each(|v| push(&v.name));
+        s.children().for_each(|c| stmt(c, push));
     }
     for item in &unit.items {
         match item {
@@ -90,43 +75,20 @@ pub fn collect_names(unit: &TranslationUnit) -> Vec<String> {
 /// Apply a rename map everywhere a variable name can occur: idents,
 /// declarators, clause variable lists, `threadprivate`/`flush` lists.
 pub fn rename_unit(unit: &mut TranslationUnit, map: &HashMap<String, String>) {
-    let ren = |n: &mut String| {
+    fn ren(n: &mut String, map: &HashMap<String, String>) {
         if let Some(new) = map.get(n.as_str()) {
             *n = new.clone();
         }
-    };
+    }
     fn expr(e: &mut Expr, map: &HashMap<String, String>) {
-        match e {
-            Expr::Ident { name, .. } => {
-                if let Some(n) = map.get(name.as_str()) {
-                    *name = n.clone();
-                }
-            }
-            Expr::Index { base, index, .. } => {
-                expr(base, map);
-                expr(index, map);
-            }
-            Expr::Call { args, .. } => args.iter_mut().for_each(|a| expr(a, map)),
-            Expr::Unary { expr: x, .. } | Expr::Cast { expr: x, .. } | Expr::IncDec { expr: x, .. } => {
-                expr(x, map)
-            }
-            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-                expr(lhs, map);
-                expr(rhs, map);
-            }
-            Expr::Cond { cond, then, els, .. } => {
-                expr(cond, map);
-                expr(then, map);
-                expr(els, map);
-            }
-            _ => {}
+        if let Expr::Ident { name, .. } = e {
+            ren(name, map);
         }
+        e.children_mut().for_each(|c| expr(c, map));
     }
     fn decl(d: &mut Decl, map: &HashMap<String, String>) {
         for v in &mut d.vars {
-            if let Some(n) = map.get(v.name.as_str()) {
-                v.name = n.clone();
-            }
+            ren(&mut v.name, map);
             for dim in v.ty.dims.iter_mut().flatten() {
                 expr(dim, map);
             }
@@ -156,24 +118,16 @@ pub fn rename_unit(unit: &mut TranslationUnit, map: &HashMap<String, String>) {
             }
             _ => return,
         };
-        for n in lists {
-            if let Some(new) = map.get(n.as_str()) {
-                *n = new.clone();
-            }
-        }
+        lists.iter_mut().for_each(|n| ren(n, map));
     }
     fn stmt(s: &mut Stmt, map: &HashMap<String, String>) {
         match s {
             Stmt::Decl(d) => decl(d, map),
-            Stmt::Expr(e) => expr(e, map),
-            Stmt::Block(b) => b.stmts.iter_mut().for_each(|s| stmt(s, map)),
-            Stmt::If { cond, then, els, .. } => {
-                expr(cond, map);
-                stmt(then, map);
-                if let Some(e) = els {
-                    stmt(e, map);
-                }
-            }
+            Stmt::Expr(e)
+            | Stmt::Return(Some(e), _)
+            | Stmt::If { cond: e, .. }
+            | Stmt::While { cond: e, .. }
+            | Stmt::DoWhile { cond: e, .. } => expr(e, map),
             Stmt::For(f) => {
                 match &mut f.init {
                     ForInit::Decl(d) => decl(d, map),
@@ -186,52 +140,30 @@ pub fn rename_unit(unit: &mut TranslationUnit, map: &HashMap<String, String>) {
                 if let Some(st) = &mut f.step {
                     expr(st, map);
                 }
-                stmt(&mut f.body, map);
             }
-            Stmt::While { cond, body, .. } => {
-                expr(cond, map);
-                stmt(body, map);
-            }
-            Stmt::DoWhile { body, cond, .. } => {
-                stmt(body, map);
-                expr(cond, map);
-            }
-            Stmt::Return(Some(e), _) => expr(e, map),
-            Stmt::Omp { dir, body, .. } => {
+            Stmt::Omp { dir, .. } => {
                 for c in &mut dir.clauses {
                     clause_names(c, map);
                 }
                 if let DirectiveKind::Threadprivate(vs) | DirectiveKind::Flush(vs) = &mut dir.kind
                 {
-                    for n in vs {
-                        if let Some(new) = map.get(n.as_str()) {
-                            *n = new.clone();
-                        }
-                    }
-                }
-                if let Some(b) = body {
-                    stmt(b, map);
+                    vs.iter_mut().for_each(|n| ren(n, map));
                 }
             }
             _ => {}
         }
+        s.children_mut().for_each(|c| stmt(c, map));
     }
     for item in &mut unit.items {
         match item {
             Item::Global(d) => decl(d, map),
             Item::Func(f) => {
-                for p in &mut f.params {
-                    ren(&mut p.name);
-                }
+                f.params.iter_mut().for_each(|p| ren(&mut p.name, map));
                 f.body.stmts.iter_mut().for_each(|s| stmt(s, map));
             }
             Item::Pragma(d) => {
                 if let DirectiveKind::Threadprivate(vs) = &mut d.kind {
-                    for n in vs {
-                        if let Some(new) = map.get(n.as_str()) {
-                            *n = new.clone();
-                        }
-                    }
+                    vs.iter_mut().for_each(|n| ren(n, map));
                 }
             }
         }

@@ -72,9 +72,7 @@ fn strip_decl(d: &mut Decl) {
 
 fn strip_block(b: &mut Block) {
     b.span = Span::DUMMY;
-    for s in &mut b.stmts {
-        strip_stmt(s);
-    }
+    b.stmts.iter_mut().for_each(strip_stmt);
 }
 
 fn strip_stmt(s: &mut Stmt) {
@@ -82,14 +80,12 @@ fn strip_stmt(s: &mut Stmt) {
         Stmt::Decl(d) => strip_decl(d),
         Stmt::Expr(e) => strip_expr(e),
         Stmt::Empty(sp) | Stmt::Break(sp) | Stmt::Continue(sp) => *sp = Span::DUMMY,
-        Stmt::Block(b) => strip_block(b),
-        Stmt::If { cond, then, els, span } => {
+        Stmt::Block(b) => b.span = Span::DUMMY,
+        Stmt::If { cond, span, .. }
+        | Stmt::While { cond, span, .. }
+        | Stmt::DoWhile { cond, span, .. } => {
             *span = Span::DUMMY;
             strip_expr(cond);
-            strip_stmt(then);
-            if let Some(e) = els {
-                strip_stmt(e);
-            }
         }
         Stmt::For(f) => {
             f.span = Span::DUMMY;
@@ -98,38 +94,18 @@ fn strip_stmt(s: &mut Stmt) {
                 ForInit::Expr(e) => strip_expr(e),
                 ForInit::Empty => {}
             }
-            if let Some(c) = &mut f.cond {
-                strip_expr(c);
-            }
-            if let Some(st) = &mut f.step {
-                strip_expr(st);
-            }
-            strip_stmt(&mut f.body);
-        }
-        Stmt::While { cond, body, span } => {
-            *span = Span::DUMMY;
-            strip_expr(cond);
-            strip_stmt(body);
-        }
-        Stmt::DoWhile { body, cond, span } => {
-            *span = Span::DUMMY;
-            strip_stmt(body);
-            strip_expr(cond);
+            f.cond.iter_mut().chain(&mut f.step).for_each(strip_expr);
         }
         Stmt::Return(e, sp) => {
             *sp = Span::DUMMY;
-            if let Some(e) = e {
-                strip_expr(e);
-            }
+            e.iter_mut().for_each(strip_expr);
         }
-        Stmt::Omp { dir, body, span } => {
+        Stmt::Omp { dir, span, .. } => {
             *span = Span::DUMMY;
             strip_directive(dir);
-            if let Some(b) = body {
-                strip_stmt(b);
-            }
         }
     }
+    s.children_mut().for_each(strip_stmt);
 }
 
 fn strip_directive(d: &mut Directive) {
@@ -143,42 +119,11 @@ fn strip_directive(d: &mut Directive) {
 }
 
 fn strip_expr(e: &mut Expr) {
-    match e {
-        Expr::IntLit { span, .. }
-        | Expr::FloatLit { span, .. }
-        | Expr::StrLit { span, .. }
-        | Expr::CharLit { span, .. }
-        | Expr::Ident { span, .. } => *span = Span::DUMMY,
-        Expr::Index { base, index, span } => {
-            *span = Span::DUMMY;
-            strip_expr(base);
-            strip_expr(index);
-        }
-        Expr::Call { args, span, .. } => {
-            *span = Span::DUMMY;
-            args.iter_mut().for_each(strip_expr);
-        }
-        Expr::Unary { expr, span, .. } | Expr::IncDec { expr, span, .. } => {
-            *span = Span::DUMMY;
-            strip_expr(expr);
-        }
-        Expr::Cast { ty, expr, span } => {
-            *span = Span::DUMMY;
-            strip_type(ty);
-            strip_expr(expr);
-        }
-        Expr::Binary { lhs, rhs, span, .. } | Expr::Assign { lhs, rhs, span, .. } => {
-            *span = Span::DUMMY;
-            strip_expr(lhs);
-            strip_expr(rhs);
-        }
-        Expr::Cond { cond, then, els, span } => {
-            *span = Span::DUMMY;
-            strip_expr(cond);
-            strip_expr(then);
-            strip_expr(els);
-        }
+    *e.span_mut() = Span::DUMMY;
+    if let Expr::Cast { ty, .. } = e {
+        strip_type(ty);
     }
+    e.children_mut().for_each(strip_expr);
 }
 
 /// A retained (non-pragma) preprocessor line.
@@ -415,6 +360,37 @@ impl Stmt {
             Stmt::Continue(s) => *s,
             Stmt::Omp { span, .. } => *span,
         }
+    }
+
+    /// The statement's direct child statements in source order: a
+    /// block's entries, `then` then `els`, a loop's body, a pragma's
+    /// body. Expressions, declarations and clauses are not children;
+    /// a walker that needs them reads them from the variant itself.
+    pub fn children(&self) -> impl Iterator<Item = &Stmt> {
+        let (entries, body, els): (&[Stmt], _, _) = match self {
+            Stmt::Block(b) => (&b.stmts, None, None),
+            Stmt::If { then, els, .. } => (&[], Some(&**then), els.as_deref()),
+            Stmt::For(f) => (&[], Some(&f.body), None),
+            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => (&[], Some(&**body), None),
+            Stmt::Omp { body, .. } => (&[], body.as_deref(), None),
+            _ => (&[], None, None),
+        };
+        entries.iter().chain(body).chain(els)
+    }
+
+    /// [`Stmt::children`], mutably.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Stmt> {
+        let (entries, body, els): (&mut [Stmt], _, _) = match self {
+            Stmt::Block(b) => (&mut b.stmts, None, None),
+            Stmt::If { then, els, .. } => (&mut [], Some(&mut **then), els.as_deref_mut()),
+            Stmt::For(f) => (&mut [], Some(&mut f.body), None),
+            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => {
+                (&mut [], Some(&mut **body), None)
+            }
+            Stmt::Omp { body, .. } => (&mut [], body.as_deref_mut(), None),
+            _ => (&mut [], None, None),
+        };
+        entries.iter_mut().chain(body).chain(els)
     }
 }
 
@@ -733,6 +709,59 @@ impl Expr {
         }
     }
 
+    /// The expression's span, mutably.
+    pub fn span_mut(&mut self) -> &mut Span {
+        match self {
+            Expr::IntLit { span, .. }
+            | Expr::FloatLit { span, .. }
+            | Expr::StrLit { span, .. }
+            | Expr::CharLit { span, .. }
+            | Expr::Ident { span, .. }
+            | Expr::Index { span, .. }
+            | Expr::Call { span, .. }
+            | Expr::Unary { span, .. }
+            | Expr::Binary { span, .. }
+            | Expr::Assign { span, .. }
+            | Expr::IncDec { span, .. }
+            | Expr::Cond { span, .. }
+            | Expr::Cast { span, .. } => span,
+        }
+    }
+
+    /// The expression's direct sub-expressions in source order. A
+    /// cast's target type is not one (its array dimensions, if any,
+    /// stay with the type).
+    pub fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (args, ops): (&[Expr], [Option<&Expr>; 3]) = match self {
+            Expr::Call { args, .. } => (args, [None; 3]),
+            Expr::Index { base: a, index: b, .. }
+            | Expr::Binary { lhs: a, rhs: b, .. }
+            | Expr::Assign { lhs: a, rhs: b, .. } => (&[], [Some(a), Some(b), None]),
+            Expr::Unary { expr, .. } | Expr::IncDec { expr, .. } | Expr::Cast { expr, .. } => {
+                (&[], [Some(expr), None, None])
+            }
+            Expr::Cond { cond, then, els, .. } => (&[], [Some(cond), Some(then), Some(els)]),
+            _ => (&[], [None; 3]),
+        };
+        args.iter().chain(ops.into_iter().flatten())
+    }
+
+    /// [`Expr::children`], mutably.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Expr> {
+        let (args, ops): (&mut [Expr], [Option<&mut Expr>; 3]) = match self {
+            Expr::Call { args, .. } => (args, [None, None, None]),
+            Expr::Index { base: a, index: b, .. }
+            | Expr::Binary { lhs: a, rhs: b, .. }
+            | Expr::Assign { lhs: a, rhs: b, .. } => (&mut [], [Some(a), Some(b), None]),
+            Expr::Unary { expr, .. } | Expr::IncDec { expr, .. } | Expr::Cast { expr, .. } => {
+                (&mut [], [Some(expr), None, None])
+            }
+            Expr::Cond { cond, then, els, .. } => (&mut [], [Some(cond), Some(then), Some(els)]),
+            _ => (&mut [], [None, None, None]),
+        };
+        args.iter_mut().chain(ops.into_iter().flatten())
+    }
+
     /// If this is an lvalue rooted at a named variable, return the root
     /// variable name (`a[i+1]` → `a`, `*p` → `p`, `x` → `x`).
     pub fn root_var(&self) -> Option<&str> {
@@ -781,5 +810,38 @@ impl Expr {
             Expr::Cast { expr, .. } => expr.const_int(),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse;
+    use crate::printer::print_expr;
+
+    #[test]
+    fn children_are_direct_and_in_source_order() {
+        let u =
+            parse("void f() { if (c) { x = 1; y = 2; } else while (c) z = f(a, b ? d : e[k]); }")
+                .unwrap();
+        let Item::Func(f) = &u.items[0] else { panic!() };
+        let s_if = &f.body.stmts[0];
+        let [then @ Stmt::Block(_), s_while @ Stmt::While { .. }] =
+            s_if.children().collect::<Vec<_>>()[..]
+        else {
+            panic!("`then` then `els`")
+        };
+        assert_eq!(then.children().count(), 2, "block entries, not their expressions");
+        let Stmt::Expr(assign) = s_while.children().next().unwrap() else { panic!() };
+        let Expr::Assign { rhs: call, .. } = assign else { panic!() };
+        let args: Vec<String> = call.children().map(print_expr).collect();
+        assert_eq!(args, ["a", "b ? d : e[k]"]);
+        let cond: Vec<String> =
+            call.children().nth(1).unwrap().children().map(print_expr).collect();
+        assert_eq!(cond, ["b", "d", "e[k]"]);
+        // Leaves have no children; mutable and shared views agree.
+        assert_eq!(call.children().next().unwrap().children().count(), 0);
+        let mut s = s_if.clone();
+        assert_eq!(s.children_mut().count(), s_if.children().count());
     }
 }

@@ -1,190 +1,25 @@
-//! AST walkers.
-//!
-//! [`Visitor`] is a classic borrow-visitor over statements and
-//! expressions; `walk_*` free functions provide the default traversal so
-//! implementations override only what they need.
+//! Directive collection.
 
 use crate::ast::*;
 use crate::pragma::Directive;
 
-/// A read-only AST visitor. All hooks default to plain traversal.
-pub trait Visitor {
-    /// Called for every statement before its children.
-    fn visit_stmt(&mut self, s: &Stmt) {
-        walk_stmt(self, s);
-    }
-
-    /// Called for every expression before its children.
-    fn visit_expr(&mut self, e: &Expr) {
-        walk_expr(self, e);
-    }
-
-    /// Called for every declaration.
-    fn visit_decl(&mut self, d: &Decl) {
-        walk_decl(self, d);
-    }
-
-    /// Called for every OpenMP directive (before the body statement).
-    fn visit_directive(&mut self, _d: &Directive) {}
-}
-
-/// Traverse all statements of a function body.
-pub fn walk_func<V: Visitor + ?Sized>(v: &mut V, f: &FuncDef) {
-    walk_block(v, &f.body);
-}
-
-/// Traverse a block.
-pub fn walk_block<V: Visitor + ?Sized>(v: &mut V, b: &Block) {
-    for s in &b.stmts {
-        v.visit_stmt(s);
-    }
-}
-
-/// Default statement traversal.
-pub fn walk_stmt<V: Visitor + ?Sized>(v: &mut V, s: &Stmt) {
-    match s {
-        Stmt::Decl(d) => v.visit_decl(d),
-        Stmt::Expr(e) => v.visit_expr(e),
-        Stmt::Empty(_) | Stmt::Break(_) | Stmt::Continue(_) => {}
-        Stmt::Block(b) => walk_block(v, b),
-        Stmt::If { cond, then, els, .. } => {
-            v.visit_expr(cond);
-            v.visit_stmt(then);
-            if let Some(e) = els {
-                v.visit_stmt(e);
-            }
-        }
-        Stmt::For(f) => {
-            match &f.init {
-                ForInit::Empty => {}
-                ForInit::Decl(d) => v.visit_decl(d),
-                ForInit::Expr(e) => v.visit_expr(e),
-            }
-            if let Some(c) = &f.cond {
-                v.visit_expr(c);
-            }
-            if let Some(st) = &f.step {
-                v.visit_expr(st);
-            }
-            v.visit_stmt(&f.body);
-        }
-        Stmt::While { cond, body, .. } => {
-            v.visit_expr(cond);
-            v.visit_stmt(body);
-        }
-        Stmt::DoWhile { body, cond, .. } => {
-            v.visit_stmt(body);
-            v.visit_expr(cond);
-        }
-        Stmt::Return(e, _) => {
-            if let Some(e) = e {
-                v.visit_expr(e);
-            }
-        }
-        Stmt::Omp { dir, body, .. } => {
-            v.visit_directive(dir);
-            if let Some(b) = body {
-                v.visit_stmt(b);
-            }
-        }
-    }
-}
-
-/// Default declaration traversal (visits initializers and array dims).
-pub fn walk_decl<V: Visitor + ?Sized>(v: &mut V, d: &Decl) {
-    for var in &d.vars {
-        for dim in var.ty.dims.iter().flatten() {
-            v.visit_expr(dim);
-        }
-        match &var.init {
-            Some(Init::Expr(e)) => v.visit_expr(e),
-            Some(Init::List(es)) => {
-                for e in es {
-                    v.visit_expr(e);
-                }
-            }
-            None => {}
-        }
-    }
-}
-
-/// Default expression traversal.
-pub fn walk_expr<V: Visitor + ?Sized>(v: &mut V, e: &Expr) {
-    match e {
-        Expr::IntLit { .. }
-        | Expr::FloatLit { .. }
-        | Expr::StrLit { .. }
-        | Expr::CharLit { .. }
-        | Expr::Ident { .. } => {}
-        Expr::Index { base, index, .. } => {
-            v.visit_expr(base);
-            v.visit_expr(index);
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                v.visit_expr(a);
-            }
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IncDec { expr, .. } => {
-            v.visit_expr(expr)
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            v.visit_expr(lhs);
-            v.visit_expr(rhs);
-        }
-        Expr::Assign { lhs, rhs, .. } => {
-            v.visit_expr(lhs);
-            v.visit_expr(rhs);
-        }
-        Expr::Cond { cond, then, els, .. } => {
-            v.visit_expr(cond);
-            v.visit_expr(then);
-            v.visit_expr(els);
-        }
-    }
-}
-
 /// Collect every directive in a unit, in source order.
 pub fn collect_directives(unit: &TranslationUnit) -> Vec<&Directive> {
-    struct C<'a>(Vec<&'a Directive>);
-    // Lifetimes force a manual walk here rather than the Visitor trait.
-    fn stmt<'a>(c: &mut C<'a>, s: &'a Stmt) {
-        match s {
-            Stmt::Omp { dir, body, .. } => {
-                c.0.push(dir);
-                if let Some(b) = body {
-                    stmt(c, b);
-                }
-            }
-            Stmt::Block(b) => {
-                for s in &b.stmts {
-                    stmt(c, s);
-                }
-            }
-            Stmt::If { then, els, .. } => {
-                stmt(c, then);
-                if let Some(e) = els {
-                    stmt(c, e);
-                }
-            }
-            Stmt::For(f) => stmt(c, &f.body),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(c, body),
-            _ => {}
+    fn stmt<'a>(s: &'a Stmt, out: &mut Vec<&'a Directive>) {
+        if let Stmt::Omp { dir, .. } = s {
+            out.push(dir);
         }
+        s.children().for_each(|c| stmt(c, out));
     }
-    let mut c = C(Vec::new());
+    let mut out = Vec::new();
     for item in &unit.items {
         match item {
-            Item::Func(f) => {
-                for s in &f.body.stmts {
-                    stmt(&mut c, s);
-                }
-            }
-            Item::Pragma(d) => c.0.push(d),
+            Item::Func(f) => f.body.stmts.iter().for_each(|s| stmt(s, &mut out)),
+            Item::Pragma(d) => out.push(d),
             Item::Global(_) => {}
         }
     }
-    c.0
+    out
 }
 
 #[cfg(test)]
@@ -213,23 +48,5 @@ void f() {
         assert_eq!(ds[0].kind, DirectiveKind::Parallel);
         assert_eq!(ds[1].kind, DirectiveKind::For);
         assert!(matches!(ds[2].kind, DirectiveKind::Critical(None)));
-    }
-
-    #[test]
-    fn visitor_counts_idents() {
-        struct Count(usize);
-        impl Visitor for Count {
-            fn visit_expr(&mut self, e: &Expr) {
-                if matches!(e, Expr::Ident { .. }) {
-                    self.0 += 1;
-                }
-                walk_expr(self, e);
-            }
-        }
-        let u = parse("void f() { int a = b + c * d; }").unwrap();
-        let crate::ast::Item::Func(f) = &u.items[0] else { panic!() };
-        let mut v = Count(0);
-        walk_func(&mut v, f);
-        assert_eq!(v.0, 3);
     }
 }

@@ -26,56 +26,25 @@ pub fn inline_unit(unit: &TranslationUnit) -> TranslationUnit {
     let mut out = unit.clone();
     for item in &mut out.items {
         if let Item::Func(f) = item {
-            let empty = Block { stmts: Vec::new(), span: f.body.span };
-            let body = std::mem::replace(&mut f.body, empty);
-            f.body = inline_block(body, &funcs, 0);
+            f.body.stmts.iter_mut().for_each(|s| inline_stmt(s, &funcs, 0));
         }
     }
     out
 }
 
-fn inline_block(b: Block, funcs: &HashMap<String, FuncDef>, depth: u32) -> Block {
-    let span = b.span;
-    let stmts = b.stmts.into_iter().map(|s| inline_stmt(s, funcs, depth)).collect();
-    Block { stmts, span }
-}
-
-fn inline_stmt(s: Stmt, funcs: &HashMap<String, FuncDef>, depth: u32) -> Stmt {
-    match s {
-        Stmt::Expr(Expr::Call { ref callee, ref args, span }) => {
-            if depth < MAX_DEPTH {
-                if let Some(f) = funcs.get(callee) {
-                    if let Some(block) = expand(f, args, span) {
-                        return inline_stmt(Stmt::Block(block), funcs, depth + 1);
-                    }
-                }
-            }
-            s
+fn inline_stmt(s: &mut Stmt, funcs: &HashMap<String, FuncDef>, depth: u32) {
+    if let Stmt::Expr(Expr::Call { callee, args, span }) = s {
+        let expanded = match funcs.get(callee) {
+            Some(f) if depth < MAX_DEPTH => expand(f, args, *span),
+            _ => None,
+        };
+        if let Some(block) = expanded {
+            *s = Stmt::Block(block);
+            inline_stmt(s, funcs, depth + 1);
         }
-        Stmt::Block(b) => Stmt::Block(inline_block(b, funcs, depth)),
-        Stmt::If { cond, then, els, span } => Stmt::If {
-            cond,
-            then: Box::new(inline_stmt(*then, funcs, depth)),
-            els: els.map(|e| Box::new(inline_stmt(*e, funcs, depth))),
-            span,
-        },
-        Stmt::For(mut f) => {
-            f.body = inline_stmt(f.body, funcs, depth);
-            Stmt::For(f)
-        }
-        Stmt::While { cond, body, span } => {
-            Stmt::While { cond, body: Box::new(inline_stmt(*body, funcs, depth)), span }
-        }
-        Stmt::DoWhile { body, cond, span } => {
-            Stmt::DoWhile { body: Box::new(inline_stmt(*body, funcs, depth)), cond, span }
-        }
-        Stmt::Omp { dir, body, span } => Stmt::Omp {
-            dir,
-            body: body.map(|b| Box::new(inline_stmt(*b, funcs, depth))),
-            span,
-        },
-        other => other,
+        return;
     }
+    s.children_mut().for_each(|c| inline_stmt(c, funcs, depth));
 }
 
 /// Expand a call into the callee body with parameters renamed to the
@@ -107,42 +76,29 @@ fn expand(f: &FuncDef, args: &[Expr], span: minic::Span) -> Option<Block> {
         subst.insert(p.name.clone(), replacement);
     }
     let mut body = f.body.clone();
-    subst_block(&mut body, &subst);
+    body.stmts.iter_mut().for_each(|s| subst_stmt(s, &subst));
     body.span = span;
     Some(body)
 }
 
-fn subst_block(b: &mut Block, subst: &HashMap<String, Expr>) {
-    for s in &mut b.stmts {
-        subst_stmt(s, subst);
-    }
-}
-
+/// Substitute into the statement's own expressions and its children.
+/// Array dimensions and clause expressions are deliberately left alone.
 fn subst_stmt(s: &mut Stmt, subst: &HashMap<String, Expr>) {
     match s {
         Stmt::Decl(d) => {
             for v in &mut d.vars {
                 match &mut v.init {
                     Some(Init::Expr(e)) => subst_expr(e, subst),
-                    Some(Init::List(es)) => {
-                        for e in es {
-                            subst_expr(e, subst);
-                        }
-                    }
+                    Some(Init::List(es)) => es.iter_mut().for_each(|e| subst_expr(e, subst)),
                     None => {}
                 }
             }
         }
-        Stmt::Expr(e) => subst_expr(e, subst),
-        Stmt::Empty(_) | Stmt::Break(_) | Stmt::Continue(_) => {}
-        Stmt::Block(b) => subst_block(b, subst),
-        Stmt::If { cond, then, els, .. } => {
-            subst_expr(cond, subst);
-            subst_stmt(then, subst);
-            if let Some(e) = els {
-                subst_stmt(e, subst);
-            }
-        }
+        Stmt::Expr(e)
+        | Stmt::Return(Some(e), _)
+        | Stmt::If { cond: e, .. }
+        | Stmt::While { cond: e, .. }
+        | Stmt::DoWhile { cond: e, .. } => subst_expr(e, subst),
         Stmt::For(f) => {
             match &mut f.init {
                 ForInit::Empty => {}
@@ -155,87 +111,25 @@ fn subst_stmt(s: &mut Stmt, subst: &HashMap<String, Expr>) {
                 }
                 ForInit::Expr(e) => subst_expr(e, subst),
             }
-            if let Some(c) = &mut f.cond {
-                subst_expr(c, subst);
-            }
-            if let Some(st) = &mut f.step {
-                subst_expr(st, subst);
-            }
-            subst_stmt(&mut f.body, subst);
-        }
-        Stmt::While { cond, body, .. } => {
-            subst_expr(cond, subst);
-            subst_stmt(body, subst);
-        }
-        Stmt::DoWhile { body, cond, .. } => {
-            subst_stmt(body, subst);
-            subst_expr(cond, subst);
-        }
-        Stmt::Return(e, _) => {
-            if let Some(e) = e {
-                subst_expr(e, subst);
-            }
-        }
-        Stmt::Omp { body, .. } => {
-            if let Some(b) = body {
-                subst_stmt(b, subst);
-            }
-        }
-    }
-}
-
-fn subst_expr(e: &mut Expr, subst: &HashMap<String, Expr>) {
-    match e {
-        Expr::Ident { name, span } => {
-            if let Some(rep) = subst.get(name) {
-                let mut rep = rep.clone();
-                retarget_span(&mut rep, *span);
-                *e = rep;
-            }
-        }
-        Expr::Index { base, index, .. } => {
-            subst_expr(base, subst);
-            subst_expr(index, subst);
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                subst_expr(a, subst);
-            }
-        }
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } | Expr::IncDec { expr, .. } => {
-            subst_expr(expr, subst)
-        }
-        Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-            subst_expr(lhs, subst);
-            subst_expr(rhs, subst);
-        }
-        Expr::Cond { cond, then, els, .. } => {
-            subst_expr(cond, subst);
-            subst_expr(then, subst);
-            subst_expr(els, subst);
+            f.cond.iter_mut().chain(&mut f.step).for_each(|e| subst_expr(e, subst));
         }
         _ => {}
     }
+    s.children_mut().for_each(|c| subst_stmt(c, subst));
 }
 
-/// Point a substituted expression's span at the use site, so race
-/// reports refer to caller-side locations.
-fn retarget_span(e: &mut Expr, span: minic::Span) {
-    match e {
-        Expr::IntLit { span: s, .. }
-        | Expr::FloatLit { span: s, .. }
-        | Expr::StrLit { span: s, .. }
-        | Expr::CharLit { span: s, .. }
-        | Expr::Ident { span: s, .. }
-        | Expr::Index { span: s, .. }
-        | Expr::Call { span: s, .. }
-        | Expr::Unary { span: s, .. }
-        | Expr::Binary { span: s, .. }
-        | Expr::Assign { span: s, .. }
-        | Expr::IncDec { span: s, .. }
-        | Expr::Cond { span: s, .. }
-        | Expr::Cast { span: s, .. } => *s = span,
+fn subst_expr(e: &mut Expr, subst: &HashMap<String, Expr>) {
+    if let Expr::Ident { name, span } = e {
+        if let Some(rep) = subst.get(name) {
+            // Point the substituted expression at the use site, so race
+            // reports refer to caller-side locations.
+            let span = *span;
+            *e = rep.clone();
+            *e.span_mut() = span;
+        }
+        return;
     }
+    e.children_mut().for_each(|c| subst_expr(c, subst));
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! local minimum — no single reduction preserves the signature — and
 //! the process is fully deterministic.
 
+use crate::mutate::for_each_directive_mut;
 use crate::verdict::{verdicts_of_code, Verdicts};
 use minic::ast::*;
 use minic::Span;
@@ -75,80 +76,50 @@ fn candidates(unit: &TranslationUnit) -> Vec<TranslationUnit> {
 // ---- statement removal ------------------------------------------------
 
 fn count_stmts(unit: &TranslationUnit) -> usize {
-    fn stmt(s: &Stmt, n: &mut usize) {
-        match s {
-            Stmt::Block(b) => block(b, n),
-            Stmt::If { then, els, .. } => {
-                stmt(then, n);
-                if let Some(e) = els {
-                    stmt(e, n);
-                }
-            }
-            Stmt::For(f) => stmt(&f.body, n),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, n),
-            Stmt::Omp { body: Some(b), .. } => stmt(b, n),
-            _ => {}
-        }
+    fn stmt(s: &Stmt) -> usize {
+        let entries = match s {
+            Stmt::Block(b) => b.stmts.len(),
+            _ => 0,
+        };
+        entries + s.children().map(stmt).sum::<usize>()
     }
-    fn block(b: &Block, n: &mut usize) {
-        for s in &b.stmts {
-            *n += 1;
-            stmt(s, n);
-        }
-    }
-    let mut n = 0;
-    for item in &unit.items {
-        if let Item::Func(f) = item {
-            block(&f.body, &mut n);
-        }
-    }
-    n
+    unit.items
+        .iter()
+        .map(|item| match item {
+            Item::Func(f) => f.body.stmts.len() + f.body.stmts.iter().map(stmt).sum::<usize>(),
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Remove the `target`-th statement (DFS order over all block entry
 /// lists) from a clone of the unit.
 fn remove_stmt(unit: &TranslationUnit, target: usize) -> Option<TranslationUnit> {
-    fn stmt(s: &mut Stmt, n: &mut usize, target: usize, done: &mut bool) {
-        if *done {
-            return;
-        }
+    fn stmt(s: &mut Stmt, n: &mut usize, target: usize) -> bool {
         match s {
-            Stmt::Block(b) => block(b, n, target, done),
-            Stmt::If { then, els, .. } => {
-                stmt(then, n, target, done);
-                if let Some(e) = els {
-                    stmt(e, n, target, done);
-                }
-            }
-            Stmt::For(f) => stmt(&mut f.body, n, target, done),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, n, target, done),
-            Stmt::Omp { body: Some(b), .. } => stmt(b, n, target, done),
-            _ => {}
+            Stmt::Block(b) => block(&mut b.stmts, n, target),
+            _ => s.children_mut().any(|c| stmt(c, n, target)),
         }
     }
-    fn block(b: &mut Block, n: &mut usize, target: usize, done: &mut bool) {
-        let mut i = 0;
-        while i < b.stmts.len() {
-            if *done {
-                return;
-            }
+    fn block(stmts: &mut Vec<Stmt>, n: &mut usize, target: usize) -> bool {
+        for i in 0..stmts.len() {
             if *n == target {
-                b.stmts.remove(i);
-                *done = true;
-                return;
+                stmts.remove(i);
+                return true;
             }
             *n += 1;
-            stmt(&mut b.stmts[i], n, target, done);
-            i += 1;
+            if stmt(&mut stmts[i], n, target) {
+                return true;
+            }
         }
+        false
     }
     let mut u = unit.clone();
-    let (mut n, mut done) = (0usize, false);
-    for item in &mut u.items {
-        if let Item::Func(f) = item {
-            block(&mut f.body, &mut n, target, &mut done);
-        }
-    }
+    let mut n = 0;
+    let done = u.items.iter_mut().any(|item| match item {
+        Item::Func(f) => block(&mut f.body.stmts, &mut n, target),
+        _ => false,
+    });
     done.then_some(u)
 }
 
@@ -161,45 +132,25 @@ fn count_omp(unit: &TranslationUnit) -> usize {
 /// Replace the `target`-th `Stmt::Omp` (source order) with its bare
 /// body (or an empty statement for stand-alone directives).
 fn unwrap_omp(unit: &TranslationUnit, target: usize) -> Option<TranslationUnit> {
-    fn stmt(s: &mut Stmt, n: &mut usize, target: usize, done: &mut bool) {
-        if *done {
-            return;
-        }
+    fn stmt(s: &mut Stmt, n: &mut usize, target: usize) -> bool {
         if let Stmt::Omp { body, .. } = s {
             if *n == target {
                 *s = match body.take() {
                     Some(b) => *b,
                     None => Stmt::Empty(Span::DUMMY),
                 };
-                *done = true;
-                return;
+                return true;
             }
             *n += 1;
-            if let Stmt::Omp { body: Some(b), .. } = s {
-                stmt(b, n, target, done);
-            }
-            return;
         }
-        match s {
-            Stmt::Block(b) => b.stmts.iter_mut().for_each(|s| stmt(s, n, target, done)),
-            Stmt::If { then, els, .. } => {
-                stmt(then, n, target, done);
-                if let Some(e) = els {
-                    stmt(e, n, target, done);
-                }
-            }
-            Stmt::For(f) => stmt(&mut f.body, n, target, done),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, n, target, done),
-            _ => {}
-        }
+        s.children_mut().any(|c| stmt(c, n, target))
     }
     let mut u = unit.clone();
-    let (mut n, mut done) = (0usize, false);
-    for item in &mut u.items {
-        if let Item::Func(f) = item {
-            f.body.stmts.iter_mut().for_each(|s| stmt(s, &mut n, target, &mut done));
-        }
-    }
+    let mut n = 0;
+    let done = u.items.iter_mut().any(|item| match item {
+        Item::Func(f) => f.body.stmts.iter_mut().any(|s| stmt(s, &mut n, target)),
+        _ => false,
+    });
     done.then_some(u)
 }
 
@@ -211,49 +162,19 @@ fn count_clauses(unit: &TranslationUnit) -> usize {
 
 /// Remove the `target`-th clause (across all directives, source order).
 fn remove_clause(unit: &TranslationUnit, target: usize) -> Option<TranslationUnit> {
-    fn dir(d: &mut minic::pragma::Directive, n: &mut usize, target: usize, done: &mut bool) {
-        if *done {
-            return;
-        }
-        if *n + d.clauses.len() > target {
-            d.clauses.remove(target - *n);
-            *done = true;
-        } else {
-            *n += d.clauses.len();
-        }
-    }
-    fn stmt(s: &mut Stmt, n: &mut usize, target: usize, done: &mut bool) {
-        if *done {
-            return;
-        }
-        match s {
-            Stmt::Omp { dir: d, body, .. } => {
-                dir(d, n, target, done);
-                if let Some(b) = body {
-                    stmt(b, n, target, done);
-                }
-            }
-            Stmt::Block(b) => b.stmts.iter_mut().for_each(|s| stmt(s, n, target, done)),
-            Stmt::If { then, els, .. } => {
-                stmt(then, n, target, done);
-                if let Some(e) = els {
-                    stmt(e, n, target, done);
-                }
-            }
-            Stmt::For(f) => stmt(&mut f.body, n, target, done),
-            Stmt::While { body, .. } | Stmt::DoWhile { body, .. } => stmt(body, n, target, done),
-            _ => {}
-        }
-    }
     let mut u = unit.clone();
     let (mut n, mut done) = (0usize, false);
-    for item in &mut u.items {
-        match item {
-            Item::Func(f) => f.body.stmts.iter_mut().for_each(|s| stmt(s, &mut n, target, &mut done)),
-            Item::Pragma(d) => dir(d, &mut n, target, &mut done),
-            Item::Global(_) => {}
+    for_each_directive_mut(&mut u, &mut |d| {
+        if done {
+            return;
         }
-    }
+        if n + d.clauses.len() > target {
+            d.clauses.remove(target - n);
+            done = true;
+        } else {
+            n += d.clauses.len();
+        }
+    });
     done.then_some(u)
 }
 
