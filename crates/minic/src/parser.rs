@@ -38,16 +38,49 @@ pub fn parse_pragma_text(text: &str, span: Span) -> Result<Directive> {
     Parser::parse_directive_text(text, span)
 }
 
-/// The parser state: a token buffer and a cursor.
+/// How deep statements and expressions may nest. A statement and a
+/// unary expression (which is where parentheses recurse) each spend
+/// one level while they are parsed, and every operator that puts an
+/// operand one level deeper in the tree (binary, assignment, `?:`,
+/// subscript, postfix `++`/`--`) spends one more until its expression
+/// ends. Every recursion in the grammar passes through one of these,
+/// so past the budget the parser returns a [`ParseError`] instead of
+/// overflowing its stack; and since the tree it returns is no deeper
+/// than the levels spent, every later recursive pass inherits the
+/// bound. No corpus kernel needs more than 21 levels; at 100, parsing,
+/// analyzing and repairing the deepest accepted kernel fits a 2 MiB
+/// thread stack even in an unoptimized build.
+pub const MAX_NESTING: u32 = 100;
+
+/// The parser state: a token buffer, a cursor and the nesting depth.
 pub struct Parser {
     toks: Vec<Token>,
     idx: usize,
+    depth: u32,
 }
 
 impl Parser {
     /// Create a parser over a token stream (must end with `Eof`).
     pub fn new(toks: Vec<Token>) -> Self {
-        Parser { toks, idx: 0 }
+        Parser { toks, idx: 0, depth: 0 }
+    }
+
+    /// Run a recursive production one nesting level deeper, or fail
+    /// once [`MAX_NESTING`] levels are in use.
+    fn nested<T>(&mut self, production: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.descend()?;
+        let r = production(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Spend one nesting level; the caller gives it back.
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> &Token {
@@ -387,12 +420,16 @@ impl Parser {
 
     /// Parse a single statement (public for directive-body reuse in tests).
     pub fn parse_stmt(&mut self) -> Result<Stmt> {
+        self.nested(Self::parse_stmt_here)
+    }
+
+    fn parse_stmt_here(&mut self) -> Result<Stmt> {
+        // `#include` lines inside a body are skipped, in a loop so that
+        // a run of them spends no nesting.
+        while matches!(self.peek().kind, TokKind::PpDirective(_)) {
+            self.bump();
+        }
         match &self.peek().kind {
-            TokKind::PpDirective(_) => {
-                // #include inside a body: skip it.
-                self.bump();
-                self.parse_stmt()
-            }
             TokKind::Pragma(_) => {
                 let t = self.bump();
                 let TokKind::Pragma(text) = t.kind else { unreachable!() };
@@ -516,7 +553,7 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.parse_assign_expr()?;
+        let rhs = self.nested(Self::parse_assign_expr)?;
         let span = lhs.span().to(rhs.span());
         Ok(Expr::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span })
     }
@@ -524,9 +561,11 @@ impl Parser {
     fn parse_cond_expr(&mut self) -> Result<Expr> {
         let cond = self.parse_bin_expr(0)?;
         if self.eat_punct(Punct::Question) {
-            let then = self.parse_assign_expr()?;
-            self.expect_punct(Punct::Colon)?;
-            let els = self.parse_cond_expr()?;
+            let (then, els) = self.nested(|p| {
+                let then = p.parse_assign_expr()?;
+                p.expect_punct(Punct::Colon)?;
+                Ok((then, p.parse_cond_expr()?))
+            })?;
             let span = cond.span().to(els.span());
             Ok(Expr::Cond {
                 cond: Box::new(cond),
@@ -566,19 +605,26 @@ impl Parser {
 
     fn parse_bin_expr(&mut self, min_prec: u8) -> Result<Expr> {
         let mut lhs = self.parse_unary_expr()?;
+        let depth = self.depth;
         while let Some((op, prec)) = self.bin_op_prec() {
             if prec < min_prec {
                 break;
             }
+            self.descend()?;
             self.bump();
             let rhs = self.parse_bin_expr(prec + 1)?;
             let span = lhs.span().to(rhs.span());
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), span };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary_expr(&mut self) -> Result<Expr> {
+        self.nested(Self::parse_unary_expr_here)
+    }
+
+    fn parse_unary_expr_here(&mut self) -> Result<Expr> {
         let span = self.peek().span;
         match self.peek().kind {
             TokKind::Punct(Punct::Minus) => {
@@ -650,9 +696,11 @@ impl Parser {
 
     fn parse_postfix_expr(&mut self) -> Result<Expr> {
         let mut e = self.parse_primary_expr()?;
+        let depth = self.depth;
         loop {
             match self.peek().kind {
                 TokKind::Punct(Punct::LBracket) => {
+                    self.descend()?;
                     self.bump();
                     let idx = self.parse_expr()?;
                     let end = self.expect_punct(Punct::RBracket)?;
@@ -660,16 +708,21 @@ impl Parser {
                     e = Expr::Index { base: Box::new(e), index: Box::new(idx), span };
                 }
                 TokKind::Punct(Punct::PlusPlus) => {
+                    self.descend()?;
                     let t = self.bump();
                     let span = e.span().to(t.span);
                     e = Expr::IncDec { inc: true, prefix: false, expr: Box::new(e), span };
                 }
                 TokKind::Punct(Punct::MinusMinus) => {
+                    self.descend()?;
                     let t = self.bump();
                     let span = e.span().to(t.span);
                     e = Expr::IncDec { inc: false, prefix: false, expr: Box::new(e), span };
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
+                }
             }
         }
     }
@@ -1327,5 +1380,38 @@ void f() {
         let Stmt::Decl(d) = &f.body.stmts[0] else { panic!() };
         let Some(Init::Expr(e)) = &d.vars[0].init else { panic!() };
         assert_eq!(e.const_int(), Some(8));
+    }
+
+    #[test]
+    fn nesting_past_the_budget_is_a_parse_error() {
+        // 10,000 levels of every recursive shape, each of which used to
+        // overflow the stack (or build a tree deep enough to overflow
+        // a later pass): a clean error every time.
+        let n = 10_000;
+        let shapes = [
+            format!("int x = {}1{};", "(".repeat(n), ")".repeat(n)),
+            format!("{}{}", "{".repeat(n), "}".repeat(n)),
+            format!("{}x = 1;", "if (x) ".repeat(n)),
+            format!("x = {}1;", "-".repeat(n)),
+            format!("x = {}1;", "x = ".repeat(n)),
+            format!("x = {}1;", "x ? 1 : ".repeat(n)),
+            format!("x = 1{};", " + 1".repeat(n)),
+            format!("x = a{};", "[0]".repeat(n)),
+        ];
+        for body in shapes {
+            let err = parse(&format!("int x; int a[1]; void f() {{ {body} }}")).unwrap_err();
+            assert!(err.msg.contains("nesting deeper than"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_budget_parses() {
+        let blocks = |d: usize| format!("void f() {{ {}{} }}", "{".repeat(d), "}".repeat(d));
+        let budget = MAX_NESTING as usize;
+        parse_ok(&blocks(budget));
+        assert!(parse(&blocks(budget + 1)).is_err());
+        // Long flat statement and `#include` runs cost nothing.
+        let includes = "#include <stdio.h>\n".repeat(1_000);
+        parse_ok(&format!("void f() {{\n{includes}int x = 0; {} }}", "x = x + 1; ".repeat(10_000)));
     }
 }

@@ -3,9 +3,11 @@
 //! Boots the full service on an ephemeral port, drives a small request
 //! mix over real sockets — health check, a cold and a warm analyze of
 //! the same racy kernel (asserting byte-identical bodies and a cache
-//! hit), one malformed request (400), one forced deadline expiry (504)
-//! — verifies every expected metrics delta, and drains cleanly. Any
-//! violated invariant returns `Err` with the failing check named.
+//! hit), a cold and a warm fix, one kernel nested 10,000 parentheses
+//! deep (a 200 carrying a parse error, after which the server still
+//! answers), one malformed request (400), one forced deadline expiry
+//! (504) — verifies every expected metrics delta, and drains cleanly.
+//! Any violated invariant returns `Err` with the failing check named.
 
 use crate::analyze::{AnalyzeRequest, AnalyzeResponse};
 use crate::fixer::FixResponse;
@@ -97,20 +99,32 @@ fn run_mix(h: &ServerHandle, out: &mut String) -> Result<(), String> {
     ensure(status == 200, "warm fix returns 200")?;
     ensure(warm_fix == cold_fix, "warm fix byte-identical to cold")?;
 
-    // 6. Malformed request on a fresh connection (the server closes it).
+    // 6. Hostile input: a ~20 KB kernel nested 10,000 parentheses deep
+    //    gets a 200 with a parse error instead of overflowing a worker's
+    //    stack, and the next analyze on the same server still succeeds.
+    let deep = format!("int main(){{int x={}1{};}}", "(".repeat(10_000), ")".repeat(10_000));
+    let (status, body) = post_analyze(&mut client, &deep, &[])?;
+    ensure(status == 200, "deeply nested analyze returns 200")?;
+    let parsed: AnalyzeResponse =
+        serde_json::from_str(&body).map_err(|e| format!("response not valid JSON: {e}"))?;
+    ensure(!parsed.parse_ok && parsed.parse_error.is_some(), "deep nesting: parse error")?;
+    let (status, _) = post_analyze(&mut client, RACY_SUM, &[])?;
+    ensure(status == 200, "analyze after the deeply nested kernel returns 200")?;
+
+    // 7. Malformed request on a fresh connection (the server closes it).
     let mut bad =
         Client::connect(h.addr(), timeout).map_err(|e| format!("connect failed: {e}"))?;
     bad.send_raw(b"THIS IS NOT HTTP\r\n\r\n").map_err(|e| format!("send garbage: {e}"))?;
     let (status, _) = bad.read_response().map_err(|e| format!("garbage response: {e}"))?;
     ensure(status == 400, "malformed request line returns 400")?;
 
-    // 7. Metrics deltas, scraped over HTTP like a real Prometheus.
+    // 8. Metrics deltas, scraped over HTTP like a real Prometheus.
     let (status, text) =
         client.request("GET", "/metrics", &[], b"").map_err(|e| format!("metrics: {e}"))?;
     ensure(status == 200, "metrics returns 200")?;
     let text = String::from_utf8_lossy(&text).into_owned();
     let m = h.metrics();
-    ensure(m.requests_get(0, 200) == 2, "two analyze 200s recorded")?;
+    ensure(m.requests_get(0, 200) == 4, "four analyze 200s recorded")?;
     ensure(m.requests_get(0, 504) == 1, "one analyze 504 recorded")?;
     ensure(m.requests_get(1, 200) == 2, "two fix 200s recorded")?;
     ensure(m.fix_requests_total.get() == 2, "fix request counter moved twice")?;
@@ -120,7 +134,7 @@ fn run_mix(h: &ServerHandle, out: &mut String) -> Result<(), String> {
     ensure(m.requests_get(OTHER_ROUTE, 400) == 1, "one 400 recorded")?;
     ensure(m.batches_total.get() >= 1, "worker pool executed a batch")?;
     ensure(
-        text.contains("racellm_http_requests_total{route=\"analyze\",status=\"200\"} 2"),
+        text.contains("racellm_http_requests_total{route=\"analyze\",status=\"200\"} 4"),
         "exposition text carries the analyze counter",
     )?;
     ensure(
@@ -138,7 +152,7 @@ fn run_mix(h: &ServerHandle, out: &mut String) -> Result<(), String> {
 
     let _ = writeln!(
         out,
-        "serve smoke ok: healthz + 2 analyze + 2 fix (cached repeats byte-identical) + 504 deadline + 400 malformed on {}",
+        "serve smoke ok: healthz + 4 analyze + 2 fix (cached repeats byte-identical, 10,000-deep nesting answered) + 504 deadline + 400 malformed on {}",
         h.addr()
     );
     Ok(())

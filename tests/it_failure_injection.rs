@@ -235,3 +235,82 @@ fn surrogate_answers_remain_parseable_under_every_style() {
         }
     }
 }
+
+/// `int main(){int x=((…((1))…));}`, `depth` parentheses deep.
+fn nested_parens(depth: usize) -> String {
+    format!("int main(){{int x={}1{};return x;}}\n", "(".repeat(depth), ")".repeat(depth))
+}
+
+/// `int main(){{…{}…}return 0;}`, `depth` braces deep.
+fn nested_braces(depth: usize) -> String {
+    format!("int main(){{{}{}return 0;}}\n", "{".repeat(depth), "}".repeat(depth))
+}
+
+#[test]
+fn ten_thousand_nested_levels_are_a_parse_error() {
+    // ~20 KB bodies that used to overflow the parser's stack and abort
+    // the whole process (CLI and server alike).
+    for src in [nested_parens(10_000), nested_braces(10_000)] {
+        let r = serve::analyze::analyze_code(&src);
+        assert!(!r.parse_ok);
+        let err = r.parse_error.expect("parse error reported");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let f = serve::fixer::fix_code(&src);
+        assert!(!f.parse_ok);
+        assert_eq!(f.outcome, "unparseable");
+
+        let name = format!("racellm-deep-{}-{}.c", std::process::id(), src.len());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, &src).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_racellm-cli"))
+            .arg("analyze")
+            .arg(&path)
+            .output()
+            .unwrap();
+        let _ = std::fs::remove_file(&path);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // A clean exit 1 with the parse error, not a signal.
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    }
+}
+
+#[test]
+fn kernel_nested_at_the_budget_runs_on_a_default_thread_stack() {
+    // A racy stencil statement nested as deep as the parser allows,
+    // once in braces and once in parentheses. Analyze and fix run on a
+    // plain spawned thread (the 2 MiB default stack serve's workers
+    // get) and must finish without overflowing it.
+    let braces = |d: usize| {
+        format!(
+            "int a[64];\nint main() {{\n  #pragma omp parallel for\n  for (int i = 0; i < 63; i++) {}a[i] = a[i + 1] + 1;{}\n  return 0;\n}}\n",
+            "{".repeat(d),
+            "}".repeat(d)
+        )
+    };
+    let parens = |d: usize| {
+        format!(
+            "int a[64];\nint main() {{\n  #pragma omp parallel for\n  for (int i = 0; i < 63; i++) a[i] = {}a[i + 1]{} + 1;\n  return 0;\n}}\n",
+            "(".repeat(d),
+            ")".repeat(d)
+        )
+    };
+    for kernel in [&braces as &dyn Fn(usize) -> String, &parens] {
+        let deepest = (0..minic::parser::MAX_NESTING as usize)
+            .take_while(|&d| minic::parse(&kernel(d)).is_ok())
+            .last()
+            .expect("shallow nesting parses");
+        let err = minic::parse(&kernel(deepest + 1)).expect_err("one level past the budget");
+        assert!(err.msg.contains("nesting deeper than"), "{err}");
+        let src = kernel(deepest);
+        let (r, f) = std::thread::spawn(move || {
+            (serve::analyze::analyze_code(&src), serve::fixer::fix_code(&src))
+        })
+        .join()
+        .expect("analysis at the nesting budget fits a default thread stack");
+        assert!(r.parse_ok, "{:?}", r.parse_error);
+        assert_eq!(r.verdicts.static_verdict, Some(true));
+        assert!(f.parse_ok);
+        assert_ne!(f.outcome, "unparseable");
+    }
+}
