@@ -33,7 +33,7 @@ fn bench_finetune(c: &mut Criterion) {
         b.iter(|| black_box(eval::cv_tables_with_workers(1)))
     });
     g.bench_function("cv_tables_parallel", |b| {
-        b.iter(|| black_box(eval::cv_tables_with_workers(eval::default_workers())))
+        b.iter(|| black_box(eval::cv_tables_with_workers(par::default_workers())))
     });
     g.bench_function("cv_tables_pre_pr_serial", |b| {
         b.iter(|| black_box((eval::table4_serial_reference(), eval::table6_serial_reference())))

@@ -85,7 +85,7 @@ fn bench_corpus_scale(c: &mut Criterion) {
     g.bench_function("parallel_static_sweep_201", |b| {
         let srcs: Vec<String> = drb_gen::corpus().iter().map(|k| k.trimmed_code.clone()).collect();
         b.iter(|| {
-            let verdicts = eval::par_map(&srcs, eval::default_workers(), |s| {
+            let verdicts = par::par_map(&srcs, par::default_workers(), |s| {
                 racecheck::check_source(s).unwrap().has_race()
             });
             black_box(verdicts.iter().filter(|v| **v).count())
@@ -103,7 +103,7 @@ fn bench_artifact_cache(c: &mut Criterion) {
     // behaviour of every answer path and the fine-tuning loop).
     g.bench_function("feature_sweep_cold_198", |b| {
         b.iter(|| {
-            let ds = eval::par_map(&views, eval::default_workers(), |k| {
+            let ds = par::par_map(&views, par::default_workers(), |k| {
                 llm::CodeFeatures::extract(&k.trimmed_code).surface_difficulty()
             });
             black_box(ds)
@@ -112,7 +112,7 @@ fn bench_artifact_cache(c: &mut Criterion) {
     // Cached: read the shared artifact.
     g.bench_function("feature_sweep_cached_198", |b| {
         b.iter(|| {
-            let ds = eval::par_map(&views, eval::default_workers(), |k| {
+            let ds = par::par_map(&views, par::default_workers(), |k| {
                 k.artifact().surface_difficulty
             });
             black_box(ds)
@@ -122,7 +122,7 @@ fn bench_artifact_cache(c: &mut Criterion) {
     // Same pair for the static-detector baseline row.
     g.bench_function("baseline_cold_parse_198", |b| {
         b.iter(|| {
-            let preds = eval::par_map(&views, eval::default_workers(), |k| {
+            let preds = par::par_map(&views, par::default_workers(), |k| {
                 racecheck::check_source(&k.trimmed_code).map(|r| r.has_race()).unwrap_or(false)
             });
             black_box(preds)
@@ -210,7 +210,7 @@ fn bench_dynamic_oracle(c: &mut Criterion) {
     });
     g.bench_function("corpus_sweep_epoch_parallel", |b| {
         b.iter(|| {
-            let verdicts = eval::par_map(&units, eval::default_workers(), |(_, unit)| {
+            let verdicts = par::par_map(&units, par::default_workers(), |(_, unit)| {
                 hbsan::check_adversarial(unit, &hbsan::Config::default(), &seeds)
                     .map(|r| r.has_race())
                     .unwrap_or(false)

@@ -183,7 +183,7 @@ fn write_bench_json(path: &str) {
             .count()
     });
     let (races_par, epoch_parallel) = time(&|| {
-        eval::par_map(&units, eval::default_workers(), |unit| {
+        par::par_map(&units, par::default_workers(), |unit| {
             hbsan::check_adversarial(unit, &hbsan::Config::default(), &SEEDS)
                 .map(|r| r.has_race())
                 .unwrap_or(false)
@@ -223,7 +223,7 @@ fn write_bench_json(path: &str) {
         "bench": "dynamic_oracle_corpus_sweep",
         "kernels": units.len(),
         "seeds": SEEDS.to_vec(),
-        "workers": eval::default_workers(),
+        "workers": par::default_workers(),
         "racy_kernels": races_pre,
         "seconds": serde_json::json!({
             "pre_pr_serial": pre_pr_serial,
@@ -263,7 +263,7 @@ fn write_bench_finetune_json(path: &str) {
     // Shared state (views, artifacts, surrogate calibration) is built
     // once here so the timings below measure the CV work itself.
     let _ = eval::corpus_surrogates();
-    let workers = eval::default_workers();
+    let workers = par::default_workers();
 
     let time = |f: &dyn Fn() -> (Vec<eval::CvRow>, Vec<eval::CvRow>)| {
         // One warmup pass, then best-of-3 to damp scheduler noise.
@@ -318,7 +318,7 @@ fn write_bench_repair_json(path: &str) {
     use racellm::repair;
 
     let cfg = repair::RepairConfig::default();
-    let workers = eval::default_workers();
+    let workers = par::default_workers();
 
     let time = |f: &dyn Fn() -> repair::SweepSummary| {
         // One warmup pass, then best-of-3 to damp scheduler noise.

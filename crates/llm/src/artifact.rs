@@ -134,11 +134,10 @@ pub struct AnalyzedKernel {
     /// Memoized calibrated yes/no answers (filled lazily by
     /// [`Surrogate::predict_memo`](crate::Surrogate::predict_memo)).
     pub predict_memo: PredictMemo,
-    /// Lazily-lowered bytecode program for the dynamic oracle, tagged
-    /// with the [`hbsan::FORMAT_VERSION`] it was lowered under. Inner
+    /// Lazily-lowered bytecode program for the dynamic oracle. Inner
     /// `None` means lowering was attempted and rejected (or there is no
     /// AST); callers fall back to the AST interpreter.
-    oracle_program: OnceLock<Option<(u32, hbsan::Program)>>,
+    oracle_program: OnceLock<Option<hbsan::Program>>,
     /// Lazily-computed repair artifact (see [`AnalyzedKernel::repair_memo`]).
     repair_memo: RepairMemoSlot,
 }
@@ -189,19 +188,9 @@ impl AnalyzedKernel {
     /// The kernel's bytecode oracle program, lowered at most once per
     /// artifact and shared by every subsequent schedule sweep. `None`
     /// when the code does not parse, when `hbsan::lower` rejects the
-    /// kernel (sections/single/tasks — the interpreter fallback path),
-    /// or when the cached program was lowered under a different IR
-    /// format version (never happens in-process; guards any future
-    /// serialized reuse the same way `PredictMemo` fingerprints do).
+    /// kernel (sections/single/tasks — the interpreter fallback path).
     pub fn oracle_program(&self) -> Option<&hbsan::Program> {
-        let slot = self.oracle_program.get_or_init(|| {
-            let unit = self.ast.as_ref()?;
-            Some((hbsan::FORMAT_VERSION, hbsan::lower(unit).ok()?))
-        });
-        match slot {
-            Some((v, p)) if *v == hbsan::FORMAT_VERSION => Some(p),
-            _ => None,
-        }
+        self.oracle_program.get_or_init(|| hbsan::lower(self.ast.as_ref()?).ok()).as_ref()
     }
 
     /// The kernel's repair artifact, computed at most once per artifact
